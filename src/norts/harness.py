@@ -117,7 +117,7 @@ def _trial_batch(args):
         try:
             out.append((j, _trial_pvalue(spec, scenario_stream.substream(j)), None))
         except NortsError as exc:
-            out.append((j, None, f"trial {j}: {exc}"))
+            out.append((j, None, exc))
             if not skip_failures:
                 break
     return out
@@ -131,8 +131,9 @@ def run_scenario(
 ) -> ScenarioResult:
     """Estimate the rejection rate of one scenario.
 
-    Failed trials abort the scenario unless ``skip_failures`` is set, in
-    which case they are reported and excluded from the denominator.
+    Failed trials abort the scenario, re-raising the first failure's error
+    class, unless ``skip_failures`` is set, in which case they are reported
+    and excluded from the denominator.
     """
     workers = max(1, int(workers))
     started = time.perf_counter()
@@ -148,10 +149,12 @@ def run_scenario(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_trial_batch, jobs))
     results = sorted(r for batch in batches for r in batch)
-    failures = tuple(err for _, _, err in results if err is not None)
-    if failures and not skip_failures:
-        raise InvalidInputError(f"scenario failed: {failures[0]}")
-    pvalues = np.array([p for _, p, err in results if err is None])
+    errors = [(j, exc) for j, _, exc in results if exc is not None]
+    failures = tuple(f"trial {j}: {exc}" for j, exc in errors)
+    if errors and not skip_failures:
+        exc = errors[0][1]
+        raise type(exc)(f"scenario failed: {failures[0]}") from exc
+    pvalues = np.array([p for _, p, exc in results if exc is None])
     rejections = int(np.sum(pvalues < spec.alpha))
     used = int(pvalues.size)
     if used == 0:

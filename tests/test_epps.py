@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from norts import (
     ArmaSpec,
@@ -7,6 +10,7 @@ from norts import (
     InnovationLaw,
     InvalidInputError,
     Lambda,
+    NumericDegeneracyError,
     RngStream,
     ScenarioSpec,
     Series,
@@ -23,6 +27,13 @@ from norts import (
 )
 
 LAM = Lambda((0.7, 1.9))
+
+GAUSSIAN_AR1 = [(0.0, 50, 71), (0.4, 100, 72), (-0.4, 250, 73), (0.25, 1000, 74)]
+NON_NORMAL = {
+    "lognormal": InnovationLaw.lognormal(),
+    "t3": InnovationLaw.student_t(3),
+    "beta": InnovationLaw.beta(7, 1),
+}
 
 
 def spectral_bruteforce(x, lam):
@@ -43,6 +54,30 @@ def spectral_bruteforce(x, lam):
             cross += np.outer(d[t], d[t + i])
         mat += w * (cross + cross.T)
     return mat / n
+
+
+def nelder_mead_min(s):
+    """Reference minimum of the epps form: scipy's Nelder-Mead with the
+    tolerances of the earlier releases, in the same standardized
+    coordinates and from the same start as the library's search."""
+    x = s.values
+    mu = float(np.mean(x))
+    g0 = float(np.mean((x - mu) ** 2))
+    sd = np.sqrt(g0)
+    lam = default_lambda(s)
+    ghat = g_hat(s, lam)
+    weight = pinv_bruteforce(spectral_zero(s, ThetaParams(mu, g0), lam))
+
+    def objective(u):
+        v = ghat - g_theta(ThetaParams(mu + u[0] * sd, g0 * np.exp(u[1])), lam)
+        return float(v @ weight @ v)
+
+    res = minimize(
+        objective, x0=np.zeros(2), method="Nelder-Mead",
+        options={"fatol": 1e-10, "xatol": 1e-8, "maxiter": 500},
+    )
+    assert res.success
+    return float(res.fun)
 
 
 def pinv_bruteforce(mat, rcond=1e-10):
@@ -208,6 +243,69 @@ class TestEppsTest:
         lam = Lambda(tuple(np.linspace(0.5, 5.0, 9)))
         with pytest.raises(InvalidInputError, match="grids larger"):
             epps_test(s50, lam)
+
+    @pytest.mark.parametrize("phi,n,seed", GAUSSIAN_AR1)
+    def test_matches_nelder_mead_on_gaussian_ar1(self, phi, n, seed):
+        s = simulate_arma(ArmaSpec(ar=(phi,) if phi else ()), n, 200, RngStream(seed))
+        r = epps_test(s)
+        q_nm = nelder_mead_min(s)
+        assert r.converged
+        assert r.statistic == pytest.approx(n * q_nm, rel=1e-9)
+        assert qn(s, r.theta_hat, default_lambda(s)) <= q_nm + 1e-12
+
+    @pytest.mark.parametrize("law", NON_NORMAL.values(), ids=NON_NORMAL.keys())
+    @pytest.mark.parametrize("n", [100, 250])
+    def test_minimum_is_stationary_on_non_normal_laws(self, law, n):
+        s = simulate_arma(ArmaSpec(ar=(0.3,), innovation=law), n, 200, RngStream(n))
+        r = epps_test(s)
+        assert r.converged
+        lam = default_lambda(s)
+        sd = float(np.std(s.values))
+
+        def q(u0, u1):
+            theta = ThetaParams(r.theta_hat.mu + u0 * sd, r.theta_hat.sigma2 * np.exp(u1))
+            return qn(s, theta, lam)
+
+        h = 1e-5
+        q0 = q(0.0, 0.0)
+        grad = np.array([q(h, 0.0) - q(-h, 0.0), q(0.0, h) - q(0.0, -h)]) / (2 * h)
+        hess = np.empty((2, 2))
+        hess[0, 0] = (q(h, 0.0) - 2 * q0 + q(-h, 0.0)) / h**2
+        hess[1, 1] = (q(0.0, h) - 2 * q0 + q(0.0, -h)) / h**2
+        hess[0, 1] = hess[1, 0] = (q(h, h) - q(h, -h) - q(-h, h) + q(-h, -h)) / (4 * h**2)
+        assert np.abs(grad).max() <= 1e-6
+        assert np.linalg.eigvalsh(hess).min() > 0.0
+
+    @pytest.mark.parametrize(
+        "law",
+        [InnovationLaw.lognormal(), InnovationLaw.student_t(3), InnovationLaw.student_t(1)],
+        ids=["lognormal", "t3", "t1"],
+    )
+    @pytest.mark.parametrize("n", [20, 100, 1000])
+    def test_heavy_tails_emit_no_warnings(self, law, n):
+        s = simulate_arma(ArmaSpec(ar=(0.4,), innovation=law), n, 200, RngStream(n + 7))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = epps_test(s)
+        assert np.isfinite(r.statistic)
+        assert 0.0 <= r.p_value <= 1.0
+
+    @pytest.mark.parametrize(
+        "x", [np.r_[np.zeros(199), 1.0], np.tile([0.0, 1.0], 100)],
+        ids=["single-spike", "alternating"],
+    )
+    def test_rank_one_weight_rejected(self, x):
+        # two-valued data: every moment vector lies on one line, so the
+        # long-run covariance has rank 1 and no degrees of freedom remain
+        with pytest.raises(NumericDegeneracyError, match="rank 1"):
+            epps_test(x)
+
+    def test_df_is_rank_minus_two(self):
+        # four-valued data: the moment vectors span a 3-dimensional affine set
+        x = RngStream(7)._generator().integers(0, 4, 200).astype(float)
+        r = epps_test(x)
+        assert r.df == 1
+        assert 0.0 <= r.p_value <= 1.0
 
     def test_lambda_validation(self):
         with pytest.raises(InvalidInputError):

@@ -5,11 +5,14 @@ import pytest
 from norts import (
     InnovationLaw,
     InvalidInputError,
+    NumericDegeneracyError,
     RngStream,
     ScenarioSpec,
     reproduce_tables,
     run_scenario,
 )
+from norts import harness
+from norts.cli import main
 
 
 class TestRunScenario:
@@ -58,6 +61,21 @@ class TestRunScenario:
         )
         with pytest.raises(InvalidInputError, match="trial 0"):
             run_scenario(spec, RngStream(2105))
+
+    def test_failure_keeps_its_error_class(self, monkeypatch, tmp_path, capsys):
+        def degenerate(spec, stream):
+            raise NumericDegeneracyError("forced breakdown")
+
+        monkeypatch.setattr(harness, "_trial_pvalue", degenerate)
+        spec = ScenarioSpec(phi=0.0, law=InnovationLaw.normal(), n=100, method="lobato", trials=3)
+        with pytest.raises(NumericDegeneracyError, match="trial 0: forced breakdown"):
+            run_scenario(spec, RngStream(2106))
+        assert main([
+            "simulate", "--methods", "lobato", "--n", "100", "--m", "3", "--phis", "0",
+            "--laws", "normal", "--seed", "1", "--workers", "1", "--quiet",
+            "--out", str(tmp_path / "x.csv"),
+        ]) == 4
+        assert "numeric degeneracy" in capsys.readouterr().err
 
     def test_skip_failures_requires_survivors(self):
         spec = ScenarioSpec(

@@ -11,6 +11,7 @@ from norts import (
     GarchSpec,
     InnovationLaw,
     InvalidInputError,
+    NumericDegeneracyError,
     ProjectionConfig,
     ProjectionVector,
     RngStream,
@@ -210,6 +211,13 @@ class TestRpTest:
         cfg = ProjectionConfig(seed=RngStream(1), k=2, pars1=(100.0, 1.0), pars2=(100.0, 1.0))
         with pytest.raises(InvalidInputError, match=r"projection 1: .*zero variance"):
             rp_test([0.0] * 60, cfg)
+
+    def test_rank_deficient_epps_projection_carries_index(self):
+        # any projection of a period-2 series is period-2, hence two-valued:
+        # its epps moment covariance has rank 1
+        cfg = ProjectionConfig(seed=RngStream(1), k=4, pars1=(100.0, 1.0), pars2=(100.0, 1.0))
+        with pytest.raises(NumericDegeneracyError, match=r"projection 2: .*rank 1"):
+            rp_test(np.tile([0.0, 1.0], 100), cfg)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
