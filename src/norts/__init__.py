@@ -50,16 +50,12 @@ from .series import (
     ArmaSpec,
     GarchSpec,
     Series,
-    SummaryMoments,
     as_series,
     autocovariances,
     read_series_csv,
-    sample_autocov,
     sample_central_moment,
-    sample_mean,
     simulate_arma,
     simulate_garch,
-    summarize,
 )
 from .stationarity import UnitRootReport, adf_test, kpss_test, ljung_box
 from .vavra import SieveConfig, VavraResult, anderson_darling, fit_ar_sieve, vavra_test
@@ -84,14 +80,10 @@ __all__ = [
     "chi2_sf",
     # series
     "Series",
-    "SummaryMoments",
     "as_series",
     "read_series_csv",
-    "sample_mean",
     "sample_central_moment",
-    "sample_autocov",
     "autocovariances",
-    "summarize",
     "ArmaSpec",
     "GarchSpec",
     "simulate_arma",

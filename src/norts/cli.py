@@ -16,6 +16,7 @@ from .errors import InvalidInputError, NortsError, NumericDegeneracyError
 from .harness import TABLE_LAWS, TABLE_METHODS, TABLE_PHIS, reproduce_tables
 from .dist import InnovationLaw
 from .report import (
+    METHODS,
     CheckConfig,
     NORMALITY_METHODS,
     UNIT_ROOT_METHODS,
@@ -74,13 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_test = sub.add_parser("test", help="run one test on a one-column CSV series")
-    p_test.add_argument("--method", required=True, choices=NORMALITY_METHODS + UNIT_ROOT_METHODS)
+    p_test.add_argument("--method", required=True, choices=tuple(METHODS))
     p_test.add_argument("--lambda", dest="lam", type=_floats, default=None,
                         help="comma-separated frequency grid for the epps test")
     p_test.add_argument("--k", type=int, default=64, help="number of random projections (rp)")
     p_test.add_argument("--pars1", type=_pair, default=(2.0, 7.0), help="first beta parameter pair (rp)")
     p_test.add_argument("--pars2", type=_pair, default=(100.0, 1.0), help="second beta parameter pair (rp)")
-    p_test.add_argument("--reps", type=int, default=1000, help="bootstrap replications (vavra)")
+    p_test.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=1000,
+                        help="bootstrap replications (vavra)")
     p_test.add_argument("--max-order", type=int, default=None, help="sieve order cap (vavra)")
     p_test.add_argument("--bootstrap", choices=("normal", "residuals"), default="normal",
                         help="bootstrap innovation source (vavra)")
@@ -99,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--laws", type=_names, default=None,
                        help="innovation laws (default: normal,lognormal,t(3),chisq(10),beta(7,1))")
     p_sim.add_argument("--k", type=int, default=10, help="projections for the rp method")
-    p_sim.add_argument("--reps", type=int, default=1000, help="bootstrap replications for the vavra method")
+    p_sim.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=1000,
+                       help="bootstrap replications for the vavra method")
     p_sim.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p_sim.add_argument("--skip-failures", action="store_true",
                        help="drop failed trials from the denominator instead of aborting")
@@ -114,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--unit-root", choices=UNIT_ROOT_METHODS, default="adf")
     p_check.add_argument("--normality", choices=NORMALITY_METHODS, default="rp")
     p_check.add_argument("--k", type=int, default=64, help="projections when normality=rp")
-    p_check.add_argument("--reps", type=int, default=1000, help="replications when normality=vavra")
+    p_check.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=1000,
+                         help="replications when normality=vavra")
     p_check.add_argument("--plot-data", action="store_true", help="write the four plot-data CSV files")
     _add_common(p_check)
     p_check.add_argument("--out", default=".", help="directory for plot-data files")
@@ -130,26 +134,21 @@ def _stream_from_args(args) -> RngStream | None:
     return RngStream(args.seed)
 
 
+def _method_options(args, method: str) -> dict:
+    """The method's keyword options that this subcommand has and that are set."""
+    options = ((name, getattr(args, name, None)) for name in METHODS[method].options)
+    return {name: value for name, value in options if value is not None}
+
+
 def _cmd_test(args) -> int:
     series = read_series_csv(args.file)
-    options = {}
-    if args.method == "epps" and args.lam is not None:
-        options["lam"] = args.lam
-    elif args.method == "rp":
-        options.update(k=args.k, pars1=args.pars1, pars2=args.pars2)
-    elif args.method == "vavra":
-        options.update(replications=args.reps, bootstrap=args.bootstrap)
-        if args.max_order is not None:
-            options["max_order"] = args.max_order
-    elif args.method == "lb":
-        options["lags"] = args.lags
     report = test_dispatch(
         args.method,
         series,
         alpha=args.alpha,
         rng=_stream_from_args(args),
         data_name=Path(args.file).stem,
-        **options,
+        **_method_options(args, args.method),
     )
     if args.format == "json":
         print(render_json(report))
@@ -185,7 +184,7 @@ def _cmd_simulate(args) -> int:
         phis=args.phis,
         laws=_parse_laws(args.laws),
         alpha=args.alpha,
-        method_options={"rp": {"k": args.k}, "vavra": {"replications": args.reps}},
+        method_options={m: _method_options(args, m) for m in TABLE_METHODS},
         workers=args.workers,
         skip_failures=args.skip_failures,
         timing=args.timing,
@@ -196,11 +195,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check(args) -> int:
     series = read_series_csv(args.file)
-    options = {}
-    if args.normality == "rp":
-        options["k"] = args.k
-    elif args.normality == "vavra":
-        options["replications"] = args.reps
     cfg = CheckConfig(
         unit_root=args.unit_root,
         normality=args.normality,
@@ -208,7 +202,7 @@ def _cmd_check(args) -> int:
         emit_plot_data=args.plot_data,
         seed=_stream_from_args(args),
         out_dir=args.out,
-        normality_options=options,
+        normality_options=_method_options(args, args.normality),
     )
     report = check(series, cfg, data_name=Path(args.file).stem)
     if args.format == "json":

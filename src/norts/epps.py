@@ -140,15 +140,13 @@ def g_hat(s, lam: Lambda) -> np.ndarray:
     return _g_matrix(s.values, lam).mean(axis=0)
 
 
-def spectral_zero(s, theta: ThetaParams, lam: Lambda) -> np.ndarray:
+def spectral_zero(s, lam: Lambda) -> np.ndarray:
     """Long-run covariance (2 pi times the zero-frequency spectral density)
     of the moment vector process.
 
     Bartlett weights 1 - i/m with truncation m = floor(n^(2/5)) are applied
     to lag-i cross-products of per-observation deviations from the sample
-    moment vector; the result is symmetrized.  ``theta`` does not enter the
-    deviations (they are taken around the sample mean vector) and is
-    accepted for interface symmetry with the quadratic form.
+    moment vector; the result is symmetrized.
     """
     s = as_series(s)
     require_test_length(s)
@@ -183,7 +181,7 @@ def qn(s, theta: ThetaParams, lam: Lambda) -> float:
     long-run covariance."""
     s = as_series(s)
     v = g_hat(s, lam) - g_theta(theta, lam)
-    weight, _ = _pinv(spectral_zero(s, theta, lam))
+    weight, _ = _pinv(spectral_zero(s, lam))
     return float(v @ weight @ v)
 
 
@@ -329,7 +327,7 @@ def epps_test(s, lam: Lambda | None = None) -> EppsResult:
         )
 
     ghat = g_hat(s, lam)
-    weight, rank = _pinv(spectral_zero(s, ThetaParams(mu, g0), lam))
+    weight, rank = _pinv(spectral_zero(s, lam))
     if rank <= 2:
         raise NumericDegeneracyError(
             f"long-run covariance of the {2 * lam.size} moment conditions has rank "

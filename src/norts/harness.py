@@ -19,13 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dist import InnovationLaw
-from .epps import epps_test
 from .errors import InvalidInputError, NortsError
-from .lobato import lobato_test
+from .report import NORMALITY_METHODS, test_dispatch
 from .rng import RngStream
-from .rp import ProjectionConfig, rp_test
 from .series import ArmaSpec, simulate_arma
-from .vavra import SieveConfig, vavra_test
 
 __all__ = [
     "ScenarioSpec",
@@ -38,7 +35,8 @@ __all__ = [
     "TABLE_PHIS",
 ]
 
-TABLE_METHODS = ("lobato", "epps", "rp", "vavra")
+# In method-table order: a method's index here selects its sub-stream.
+TABLE_METHODS = NORMALITY_METHODS
 TABLE_LAWS = (
     InnovationLaw.normal(),
     InnovationLaw.lognormal(),
@@ -99,15 +97,10 @@ def _trial_pvalue(spec: ScenarioSpec, stream: RngStream) -> float:
     test_rng = stream.substream(1)
     ar = (spec.phi,) if spec.phi != 0.0 else ()
     series = simulate_arma(ArmaSpec(ar=ar, innovation=spec.law), spec.n, spec.burn_in, sim_rng)
-    if spec.method == "lobato":
-        return lobato_test(series).p_value
-    if spec.method == "epps":
-        return epps_test(series).p_value
-    if spec.method == "rp":
-        cfg = ProjectionConfig(seed=test_rng, **spec.method_options)
-        return rp_test(series, cfg).p_value
-    cfg = SieveConfig(seed=test_rng, **spec.method_options)
-    return vavra_test(series, cfg).p_value
+    report = test_dispatch(
+        spec.method, series, rng=test_rng, warn_stationarity=False, **spec.method_options
+    )
+    return report.p_value
 
 
 def _trial_batch(args):
@@ -133,7 +126,8 @@ def run_scenario(
 
     Failed trials abort the scenario, re-raising the first failure's error
     class, unless ``skip_failures`` is set, in which case they are reported
-    and excluded from the denominator.
+    and excluded from the denominator; if every trial failed, the first
+    failure is re-raised all the same.
     """
     workers = max(1, int(workers))
     started = time.perf_counter()
@@ -151,14 +145,13 @@ def run_scenario(
     results = sorted(r for batch in batches for r in batch)
     errors = [(j, exc) for j, _, exc in results if exc is not None]
     failures = tuple(f"trial {j}: {exc}" for j, exc in errors)
-    if errors and not skip_failures:
-        exc = errors[0][1]
-        raise type(exc)(f"scenario failed: {failures[0]}") from exc
     pvalues = np.array([p for _, p, exc in results if exc is None])
-    rejections = int(np.sum(pvalues < spec.alpha))
     used = int(pvalues.size)
-    if used == 0:
-        raise InvalidInputError("all trials of the scenario failed")
+    if errors and not (skip_failures and used):
+        exc = errors[0][1]
+        what = "all trials of the scenario failed" if skip_failures else "scenario failed"
+        raise type(exc)(f"{what}: {failures[0]}") from exc
+    rejections = int(np.sum(pvalues < spec.alpha))
     elapsed = time.perf_counter() - started
     return ScenarioResult(
         rate=rejections / used,
@@ -182,15 +175,9 @@ class TableRow:
 
 @dataclass
 class RejectionTable:
-    """Aggregated grid of rejection rates keyed by (method, law, phi, n)."""
+    """Rows of the rejection-rate grid, in the order they ran."""
 
     rows: list[TableRow] = field(default_factory=list)
-
-    def lookup(self, method: str, law: str, phi: float, n: int) -> TableRow:
-        for row in self.rows:
-            if (row.method, row.law, row.n) == (method, law, n) and row.phi == phi:
-                return row
-        raise KeyError((method, law, phi, n))
 
 
 _CSV_FIELDS = ("method", "law", "phi", "n", "rate", "trials")

@@ -1,4 +1,12 @@
-"""Uniform test reports, the residual-check procedure, and plot-data files.
+"""Method table, uniform test reports, the residual-check procedure and
+plot-data files.
+
+:data:`METHODS` is the one table of the seven tests: for each name it holds
+the runner, the report label, how to read the statistics, degrees of
+freedom and notes off the result, the alternative-hypothesis line and the
+keyword options the runner takes.  :func:`test_dispatch`, the CLI and the
+Monte-Carlo harness all resolve methods through it, and the method-name
+tuples are derived from it.
 
 Every test outcome is rendered through :class:`TestReport`, which carries
 the method label, named statistics, degrees of freedom where defined, the
@@ -11,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import secrets
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,13 +32,14 @@ from .lobato import lobato_test
 from .rng import RngStream
 from .rp import ProjectionConfig, rp_test
 from .series import as_series, autocovariances
-from .stationarity import UnitRootReport, adf_test, kpss_test, ljung_box
-from .vavra import SieveConfig, vavra_test
+from .stationarity import adf_test, kpss_test, ljung_box
+from .vavra import SieveConfig, _levinson, vavra_test
 
 __all__ = [
     "TestReport",
     "CheckConfig",
     "CheckReport",
+    "METHODS",
     "NORMALITY_METHODS",
     "UNIT_ROOT_METHODS",
     "test_dispatch",
@@ -41,9 +51,6 @@ __all__ = [
     "render_check_json",
     "check_report_from_json",
 ]
-
-NORMALITY_METHODS = ("epps", "lobato", "rp", "vavra")
-UNIT_ROOT_METHODS = ("adf", "kpss", "lb")
 
 GAUSSIAN_ALTERNATIVE = "{name} does not follow a Gaussian Process"
 
@@ -120,30 +127,6 @@ def report_from_json(text: str) -> TestReport:
     return _report_from_dict(json.loads(text))
 
 
-def _unit_root_to_report(res: UnitRootReport, data_name: str) -> TestReport:
-    if res.method.startswith("Augmented Dickey-Fuller"):
-        stats = {"Dickey-Fuller": res.statistic, "Lag order": float(res.lag_order)}
-        alternative = "stationary"
-    elif res.method.startswith("KPSS"):
-        stats = {"KPSS Level": res.statistic, "Truncation lag": float(res.lag_order)}
-        alternative = "non-stationary"
-    else:
-        stats = {"X-squared": res.statistic}
-        alternative = "serial correlation present"
-    notes = ()
-    if res.bounded:
-        notes = ("p-value interpolated at a critical-value table edge",)
-    return TestReport(
-        method=res.method,
-        statistics=stats,
-        p_value=res.p_value,
-        df=res.lag_order if res.method == "Ljung-Box" else None,
-        alternative=alternative,
-        data_name=data_name,
-        notes=notes,
-    )
-
-
 def _auto_stream(rng: RngStream | None) -> tuple[RngStream, tuple[str, ...]]:
     if rng is not None:
         return rng, ()
@@ -163,6 +146,108 @@ def _stationarity_note(s, alpha: float) -> tuple[str, ...]:
     return ()
 
 
+def _as_lambda(lam) -> Lambda | None:
+    return lam if lam is None or isinstance(lam, Lambda) else Lambda(tuple(lam))
+
+
+def _epps_notes(r) -> tuple[str, ...]:
+    return () if r.converged else ("optimizer stopped before its convergence test held",)
+
+
+def _table_edge_notes(r) -> tuple[str, ...]:
+    return ("p-value interpolated at a critical-value table edge",) if r.bounded else ()
+
+
+@dataclass(frozen=True)
+class Method:
+    """One row of :data:`METHODS`.
+
+    ``run(series, rng, alpha, **options)`` returns a result with a
+    ``p_value``; ``options`` names the keyword options it accepts.  The
+    report title is ``label``; ``statistics``, ``df`` and ``notes`` read the
+    result.  ``alternative`` is the alternative-hypothesis line, with
+    ``{name}`` standing for the data name.  Seeded methods draw from a
+    stream; unit-root methods are the stationarity pre-tests.
+    """
+
+    label: str
+    run: Callable
+    statistics: Callable
+    alternative: str
+    options: tuple[str, ...] = ()
+    df: Callable = lambda r: None
+    notes: Callable = lambda r: ()
+    seeded: bool = False
+    unit_root: bool = False
+
+
+# Runners look their test up by name at call time, so rebinding a test
+# function in this module (for tracing or in tests) reaches every caller.
+# The normality methods come first, in the order whose index selects a
+# method's sub-stream in the Monte-Carlo grid (see harness.reproduce_tables).
+METHODS = {
+    "lobato": Method(
+        "Lobato and Velasco's test",
+        lambda s, rng, alpha: lobato_test(s),
+        lambda r: {"lobato": r.statistic},
+        GAUSSIAN_ALTERNATIVE,
+        df=lambda r: r.df,
+    ),
+    "epps": Method(
+        "Epps test",
+        lambda s, rng, alpha, lam=None: epps_test(s, _as_lambda(lam)),
+        lambda r: {"epps": r.statistic},
+        GAUSSIAN_ALTERNATIVE,
+        options=("lam",),
+        df=lambda r: r.df,
+        notes=_epps_notes,
+    ),
+    "rp": Method(
+        "k random projections test",
+        lambda s, rng, alpha, **options: rp_test(s, ProjectionConfig(seed=rng, **options)),
+        lambda r: {"k": float(r.k), "lobato": r.avg_lobato, "epps": r.avg_epps},
+        GAUSSIAN_ALTERNATIVE,
+        options=("k", "pars1", "pars2"),
+        seeded=True,
+    ),
+    "vavra": Method(
+        "Psaradakis-Vavra test",
+        lambda s, rng, alpha, **options: vavra_test(s, SieveConfig(seed=rng, **options)),
+        lambda r: {"A": r.ad_observed, "bootstrap mean": r.ad_bootstrap_mean},
+        GAUSSIAN_ALTERNATIVE,
+        options=("replications", "max_order", "bootstrap"),
+        seeded=True,
+    ),
+    "adf": Method(
+        "Augmented Dickey-Fuller Test",
+        lambda s, rng, alpha: adf_test(s, alpha=alpha),
+        lambda r: {"Dickey-Fuller": r.statistic, "Lag order": float(r.lag_order)},
+        "stationary",
+        notes=_table_edge_notes,
+        unit_root=True,
+    ),
+    "kpss": Method(
+        "KPSS Test for Level Stationarity",
+        lambda s, rng, alpha: kpss_test(s, alpha=alpha),
+        lambda r: {"KPSS Level": r.statistic, "Truncation lag": float(r.lag_order)},
+        "non-stationary",
+        notes=_table_edge_notes,
+        unit_root=True,
+    ),
+    "lb": Method(
+        "Ljung-Box",
+        lambda s, rng, alpha, lags=10: ljung_box(s, lags=int(lags), alpha=alpha),
+        lambda r: {"X-squared": r.statistic},
+        "serial correlation present",
+        options=("lags",),
+        df=lambda r: r.lag_order,
+        unit_root=True,
+    ),
+}
+NORMALITY_METHODS = tuple(name for name, m in METHODS.items() if not m.unit_root)
+UNIT_ROOT_METHODS = tuple(name for name, m in METHODS.items() if m.unit_root)
+
+
 def test_dispatch(
     method: str,
     s,
@@ -176,81 +261,36 @@ def test_dispatch(
     """Run the named test on the series and wrap it in a :class:`TestReport`.
 
     Normality methods are preceded by an ADF check whose warning, if any,
-    is attached to the report notes.  Stochastic methods draw from ``rng``
+    is attached to the report notes.  Seeded methods draw from ``rng``
     when given and otherwise auto-seed from entropy, echoing the seed in
-    the notes for replay.
+    the notes for replay.  ``options`` go to the method's runner; an
+    option the method does not take is an input error.
     """
     s = as_series(s)
-    valid = NORMALITY_METHODS + UNIT_ROOT_METHODS
-    if method not in valid:
-        raise InvalidInputError(f"unknown method {method!r}; expected one of {valid}")
-
-    if method in UNIT_ROOT_METHODS:
-        if method == "adf":
-            res = adf_test(s, alpha=alpha)
-        elif method == "kpss":
-            res = kpss_test(s, alpha=alpha)
-        else:
-            res = ljung_box(s, lags=int(options.pop("lags", 10)), alpha=alpha)
-        return _unit_root_to_report(res, data_name)
+    if method not in METHODS:
+        raise InvalidInputError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    spec = METHODS[method]
+    unknown = sorted(set(options) - set(spec.options))
+    if unknown:
+        raise InvalidInputError(
+            f"method {method!r} takes no option {unknown[0]!r}; its options are {spec.options}"
+        )
 
     notes: tuple[str, ...] = ()
-    if warn_stationarity:
-        notes += _stationarity_note(s, alpha)
-
-    alternative = GAUSSIAN_ALTERNATIVE.format(name=data_name)
-    if method == "lobato":
-        r = lobato_test(s)
-        return TestReport(
-            method="Lobato and Velasco's test",
-            statistics={"lobato": r.statistic},
-            p_value=r.p_value,
-            df=r.df,
-            alternative=alternative,
-            data_name=data_name,
-            notes=notes,
-        )
-    if method == "epps":
-        lam = options.pop("lam", None)
-        if lam is not None and not isinstance(lam, Lambda):
-            lam = Lambda(tuple(lam))
-        r = epps_test(s, lam)
-        if not r.converged:
-            notes += ("optimizer did not converge within its iteration cap",)
-        return TestReport(
-            method="Epps test",
-            statistics={"epps": r.statistic},
-            p_value=r.p_value,
-            df=r.df,
-            alternative=alternative,
-            data_name=data_name,
-            notes=notes,
-        )
-    if method == "rp":
-        stream, seed_note = _auto_stream(rng)
-        cfg = ProjectionConfig(seed=stream, **options)
-        r = rp_test(s, cfg)
-        return TestReport(
-            method="k random projections test",
-            statistics={"k": float(r.k), "lobato": r.avg_lobato, "epps": r.avg_epps},
-            p_value=r.p_value,
-            df=None,
-            alternative=alternative,
-            data_name=data_name,
-            notes=notes + seed_note,
-        )
-    # vavra
-    stream, seed_note = _auto_stream(rng)
-    cfg = SieveConfig(seed=stream, **options)
-    r = vavra_test(s, cfg)
+    if warn_stationarity and not spec.unit_root:
+        notes = _stationarity_note(s, alpha)
+    seed_note: tuple[str, ...] = ()
+    if spec.seeded:
+        rng, seed_note = _auto_stream(rng)
+    r = spec.run(s, rng, alpha, **options)
     return TestReport(
-        method="Psaradakis-Vavra test",
-        statistics={"A": r.ad_observed, "bootstrap mean": r.ad_bootstrap_mean},
+        method=spec.label,
+        statistics=spec.statistics(r),
         p_value=r.p_value,
-        df=None,
-        alternative=alternative,
+        df=spec.df(r),
+        alternative=spec.alternative.format(name=data_name),
         data_name=data_name,
-        notes=notes + seed_note,
+        notes=notes + spec.notes(r) + seed_note,
     )
 
 
@@ -329,7 +369,9 @@ def _write_plot_data(s, cfg: CheckConfig) -> None:
         max_lag = min(int(np.floor(10.0 * np.log10(n))), n - 1)
         gamma = autocovariances(s, max_lag)
         acf = gamma[1:] / gamma[0]
-        pacf = _pacf_from_autocov(gamma)
+        # partial autocorrelations are the Levinson reflection coefficients
+        _, coeffs = _levinson(gamma, max_lag)
+        pacf = [0.0 if c is None else c[-1] for c in coeffs[1:]]
         band = 1.96 / np.sqrt(n)
         with open_csv("acf.csv") as fh:
             w = csv.writer(fh)
@@ -340,54 +382,25 @@ def _write_plot_data(s, cfg: CheckConfig) -> None:
         raise InvalidInputError(f"cannot write plot data under {out}: {exc}") from exc
 
 
-def _pacf_from_autocov(gamma: np.ndarray) -> np.ndarray:
-    """Partial autocorrelations (reflection coefficients) via Levinson."""
-    max_lag = gamma.size - 1
-    pacf = np.zeros(max_lag)
-    prev = np.zeros(0)
-    sigma2 = gamma[0]
-    for p in range(1, max_lag + 1):
-        if sigma2 <= 0:
-            break
-        kappa = (gamma[p] - prev @ gamma[1:p][::-1]) / sigma2
-        pacf[p - 1] = kappa
-        new = np.empty(p)
-        new[: p - 1] = prev - kappa * prev[::-1]
-        new[p - 1] = kappa
-        prev = new
-        sigma2 *= 1.0 - kappa * kappa
-    return pacf
-
-
 def check(series, cfg: CheckConfig, data_name: str = "y") -> CheckReport:
     """Run the configured stationarity and normality tests on a residual
     series and, when requested, write the four plot-data CSV files."""
     s = as_series(series)
-    stream, seed_note = _auto_stream(cfg.seed)
-
     stat_report = test_dispatch(cfg.unit_root, s, alpha=cfg.alpha, data_name=data_name)
-    stat_ok = stat_report.p_value < cfg.alpha if cfg.unit_root == "adf" else stat_report.p_value >= cfg.alpha
+    # adf's alternative is stationarity; kpss and lb have it as their null
+    rejected = stat_report.p_value < cfg.alpha
+    stat_ok = rejected == (METHODS[cfg.unit_root].alternative == "stationary")
     stat_conclusion = f"{data_name} is {'stationary' if stat_ok else 'non-stationary'}"
 
     norm_report = test_dispatch(
         cfg.normality,
         s,
         alpha=cfg.alpha,
-        rng=stream,
+        rng=cfg.seed,
         data_name=data_name,
         warn_stationarity=False,
         **cfg.normality_options,
     )
-    if seed_note and cfg.normality in ("rp", "vavra"):
-        norm_report = TestReport(
-            method=norm_report.method,
-            statistics=norm_report.statistics,
-            p_value=norm_report.p_value,
-            df=norm_report.df,
-            alternative=norm_report.alternative,
-            data_name=norm_report.data_name,
-            notes=norm_report.notes + seed_note,
-        )
     norm_ok = norm_report.p_value >= cfg.alpha
     norm_conclusion = (
         f"{data_name} follows a Gaussian Process"
@@ -406,17 +419,6 @@ def check(series, cfg: CheckConfig, data_name: str = "y") -> CheckReport:
         verdict = f"{data_name} is Gaussian-like but may be non-stationary"
     else:
         verdict = f"{data_name} is neither stationary nor Gaussian"
-
-    if s.period > 1:
-        stat_report = TestReport(
-            method=stat_report.method,
-            statistics=stat_report.statistics,
-            p_value=stat_report.p_value,
-            df=stat_report.df,
-            alternative=stat_report.alternative,
-            data_name=stat_report.data_name,
-            notes=stat_report.notes + ("seasonal tests: not implemented",),
-        )
 
     return CheckReport(
         stationarity=stat_report,

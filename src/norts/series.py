@@ -20,14 +20,10 @@ from .rng import RngStream
 
 __all__ = [
     "Series",
-    "SummaryMoments",
     "as_series",
     "read_series_csv",
-    "sample_mean",
     "sample_central_moment",
-    "sample_autocov",
     "autocovariances",
-    "summarize",
     "ArmaSpec",
     "GarchSpec",
     "simulate_arma",
@@ -41,14 +37,13 @@ MIN_TEST_LENGTH = 10
 class Series:
     """Ordered, equally spaced real observations.
 
-    ``period`` is the number of observations per seasonal cycle (1 for
-    non-seasonal data).  Values are validated to be finite and stored in a
-    read-only float64 array, so instances are safe to share across threads.
-    Equality is identity-based; compare ``values`` explicitly when needed.
+    Values are validated to be finite and stored in a read-only float64
+    array, so instances are safe to share across threads.  ``len`` gives
+    the number of observations.  Equality is identity-based; compare
+    ``values`` explicitly when needed.
     """
 
     values: np.ndarray
-    period: int = 1
 
     def __post_init__(self):
         if np.ndim(self.values) > 1:
@@ -59,25 +54,18 @@ class Series:
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise InvalidInputError(f"series contains a non-finite value at index {bad}")
-        if int(self.period) < 1:
-            raise InvalidInputError("period must be a positive integer")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "period", int(self.period))
 
     def __len__(self) -> int:
         return self.values.size
 
-    @property
-    def n(self) -> int:
-        return self.values.size
 
-
-def as_series(data, period: int = 1) -> Series:
+def as_series(data) -> Series:
     """Coerce an array-like (or pass through a Series) into :class:`Series`."""
     if isinstance(data, Series):
         return data
-    return Series(np.asarray(data, dtype=float), period=period)
+    return Series(np.asarray(data, dtype=float))
 
 
 def require_test_length(s: Series, minimum: int = MIN_TEST_LENGTH) -> None:
@@ -118,12 +106,6 @@ def read_series_csv(path) -> Series:
 # Sample statistics
 # ---------------------------------------------------------------------------
 
-def sample_mean(s) -> float:
-    """Arithmetic mean of the observations."""
-    s = as_series(s)
-    return float(np.mean(s.values))
-
-
 def sample_central_moment(s, k: int) -> float:
     """k-th sample central moment with divisor n, k >= 2."""
     s = as_series(s)
@@ -132,16 +114,6 @@ def sample_central_moment(s, k: int) -> float:
         raise InvalidInputError(f"central moment order must be >= 2, got {k}")
     d = s.values - np.mean(s.values)
     return float(np.mean(d**k))
-
-
-def sample_autocov(s, h: int) -> float:
-    """Biased (divisor n) sample autocovariance at lag h, 0 <= h < n."""
-    s = as_series(s)
-    h = int(h)
-    if h < 0 or h >= len(s):
-        raise InvalidInputError(f"lag must satisfy 0 <= h < n, got h={h}, n={len(s)}")
-    d = s.values - np.mean(s.values)
-    return float(np.dot(d[h:], d[: len(s) - h]) / len(s))
 
 
 def autocovariances(s, max_lag: int | None = None) -> np.ndarray:
@@ -155,46 +127,6 @@ def autocovariances(s, max_lag: int | None = None) -> np.ndarray:
     d = s.values - np.mean(s.values)
     full = np.correlate(d, d, mode="full")
     return full[n - 1 : n + max_lag] / n
-
-
-@dataclass(frozen=True)
-class SummaryMoments:
-    """Bundle of sample mean, central moments and autocovariances.
-
-    The lag-0 autocovariance is the second central moment by construction,
-    and every autocovariance is bounded by it in absolute value (the sample
-    Cauchy-Schwarz inequality); both are validated.
-    """
-
-    mean: float
-    central_moments: dict[int, float]
-    autocov: dict[int, float]
-
-    def __post_init__(self):
-        if 2 not in self.central_moments or 0 not in self.autocov:
-            raise InvalidInputError("summary requires the variance and the lag-0 autocovariance")
-        m2 = self.central_moments[2]
-        if m2 < 0:
-            raise InvalidInputError("second central moment cannot be negative")
-        if self.autocov[0] != m2:
-            raise InvalidInputError("lag-0 autocovariance must equal the second central moment")
-        slack = 1e-12 * max(m2, 1.0)
-        for h, g in self.autocov.items():
-            if abs(g) > m2 + slack:
-                raise InvalidInputError(f"autocovariance at lag {h} exceeds the variance")
-
-
-def summarize(s, max_moment: int = 4, max_lag: int = 5) -> SummaryMoments:
-    """Compute mean, central moments up to ``max_moment`` and
-    autocovariances up to ``max_lag`` in one pass."""
-    s = as_series(s)
-    if max_moment < 2:
-        raise InvalidInputError("max_moment must be at least 2")
-    gamma = autocovariances(s, min(max_lag, len(s) - 1))
-    moments = {k: sample_central_moment(s, k) for k in range(2, max_moment + 1)}
-    autocov = {h: float(g) for h, g in enumerate(gamma)}
-    autocov[0] = moments[2] = float(gamma[0])
-    return SummaryMoments(mean=sample_mean(s), central_moments=moments, autocov=autocov)
 
 
 # ---------------------------------------------------------------------------

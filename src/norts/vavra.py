@@ -91,15 +91,9 @@ def anderson_darling(s) -> float:
     s = as_series(s)
     require_test_length(s)
     x = s.values
-    mu = float(np.mean(x))
-    g0 = float(np.mean((x - mu) ** 2))
-    if g0 <= 0.0:
+    if np.mean((x - np.mean(x)) ** 2) <= 0.0:
         raise InvalidInputError("series has zero variance")
-    z = np.sort((x - mu) / np.sqrt(g0))
-    n = z.size
-    weights = 2.0 * np.arange(1, n + 1) - 1.0
-    total = np.sum(weights * (normal_logcdf(z) + normal_logsf(z[::-1])))
-    return float(-n - total / n)
+    return float(_ad_rows(x[None, :])[0])
 
 
 def default_max_order(n: int) -> int:

@@ -66,7 +66,7 @@ def nelder_mead_min(s):
     sd = np.sqrt(g0)
     lam = default_lambda(s)
     ghat = g_hat(s, lam)
-    weight = pinv_bruteforce(spectral_zero(s, ThetaParams(mu, g0), lam))
+    weight = pinv_bruteforce(spectral_zero(s, lam))
 
     def objective(u):
         v = ghat - g_theta(ThetaParams(mu + u[0] * sd, g0 * np.exp(u[1])), lam)
@@ -149,15 +149,15 @@ class TestGHat:
 
 class TestSpectralZero:
     def test_symmetric_exactly(self, s50):
-        mat = spectral_zero(s50, ThetaParams(0.0, 1.0), LAM)
+        mat = spectral_zero(s50, LAM)
         np.testing.assert_array_equal(mat, mat.T)
 
     def test_constant_series_zero_matrix(self):
-        mat = spectral_zero([1.0] * 25, ThetaParams(0.0, 1.0), LAM)
+        mat = spectral_zero([1.0] * 25, LAM)
         np.testing.assert_allclose(mat, 0.0, atol=1e-25)
 
     def test_bruteforce_oracle(self, s20):
-        mat = spectral_zero(s20, ThetaParams(0.0, 1.0), LAM)
+        mat = spectral_zero(s20, LAM)
         np.testing.assert_allclose(mat, spectral_bruteforce(s20.values, LAM), atol=1e-12)
 
     def test_iid_matches_monte_carlo_covariance(self):
@@ -166,13 +166,13 @@ class TestSpectralZero:
         n = 50_000
         s = simulate_arma(ArmaSpec(), n, 0, RngStream(55))
         lam = Lambda((1.0, 2.0))
-        mat = spectral_zero(s, ThetaParams(0.0, 1.0), lam)
+        mat = spectral_zero(s, lam)
         rows = np.array([g_vector(v, lam) for v in s.values])
         oracle = np.cov(rows, rowvar=False, bias=True)
         assert np.linalg.norm(mat - oracle) <= 0.10 * np.linalg.norm(oracle)
 
     def test_positive_semidefinite(self, s50):
-        mat = spectral_zero(s50, ThetaParams(0.0, 1.0), LAM)
+        mat = spectral_zero(s50, LAM)
         assert np.linalg.eigvalsh(mat).min() >= -1e-12
 
 

@@ -70,12 +70,16 @@ class TestRunScenario:
         spec = ScenarioSpec(phi=0.0, law=InnovationLaw.normal(), n=100, method="lobato", trials=3)
         with pytest.raises(NumericDegeneracyError, match="trial 0: forced breakdown"):
             run_scenario(spec, RngStream(2106))
-        assert main([
+        with pytest.raises(NumericDegeneracyError, match="all trials.*trial 0: forced breakdown"):
+            run_scenario(spec, RngStream(2106), skip_failures=True)
+        argv = [
             "simulate", "--methods", "lobato", "--n", "100", "--m", "3", "--phis", "0",
             "--laws", "normal", "--seed", "1", "--workers", "1", "--quiet",
             "--out", str(tmp_path / "x.csv"),
-        ]) == 4
-        assert "numeric degeneracy" in capsys.readouterr().err
+        ]
+        for extra in ([], ["--skip-failures"]):
+            assert main(argv + extra) == 4
+            assert "numeric degeneracy" in capsys.readouterr().err
 
     def test_skip_failures_requires_survivors(self):
         spec = ScenarioSpec(
@@ -125,8 +129,8 @@ class TestReproduceTables:
             laws=(InnovationLaw.normal(),),
             timing=True,
         )
-        row = table.lookup("lobato", "normal", 0.0, 250)
-        assert row.trials == 20
+        rows = {(row.method, row.law, row.phi, row.n): row for row in table.rows}
+        assert rows["lobato", "normal", 0.0, 250].trials == 20
         with open(out) as fh:
             header = fh.readline().strip().split(",")
         assert header[-1] == "seconds_per_trial"
@@ -137,9 +141,11 @@ class TestReproduceTables:
         kwargs = dict(m=30, seed=2202, phis=(0.0, 0.25), laws=(InnovationLaw.normal(),))
         full = reproduce_tables(("lobato", "epps"), (100,), out=tmp_path / "a.csv", **kwargs)
         only = reproduce_tables(("epps",), (100,), out=tmp_path / "b.csv", **kwargs)
-        assert full.lookup("epps", "normal", 0.25, 100).rate == only.lookup(
-            "epps", "normal", 0.25, 100
-        ).rate
+
+        def rates(table):
+            return {(row.method, row.law, row.phi, row.n): row.rate for row in table.rows}
+
+        assert rates(full)["epps", "normal", 0.25, 100] == rates(only)["epps", "normal", 0.25, 100]
 
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):

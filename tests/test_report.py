@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from norts import (
     simulate_arma,
 )
 from norts import test_dispatch as dispatch  # alias keeps pytest collection away
+from norts import report
+from norts.harness import TABLE_METHODS
 from norts.report import check_report_from_json
 
 LOBATO_GOLDEN = (
@@ -99,6 +103,25 @@ class TestDispatch:
         with pytest.raises(InvalidInputError, match="unknown method"):
             dispatch("shapiro", s50)
 
+    def test_option_the_method_does_not_take(self, s50):
+        with pytest.raises(InvalidInputError, match="takes no option 'k'"):
+            dispatch("lobato", s50, k=4)
+
+    def test_epps_unconverged_note(self, s50, monkeypatch):
+        real = report.epps_test
+
+        def unconverged(s, lam=None):
+            return dataclasses.replace(real(s, lam), converged=False)
+
+        monkeypatch.setattr(report, "epps_test", unconverged)
+        rep = dispatch("epps", s50, warn_stationarity=False)
+        assert rep.notes == ("optimizer stopped before its convergence test held",)
+
+    def test_table_order_fixes_simulate_streams(self):
+        # a method's index in TABLE_METHODS selects its simulate sub-stream
+        assert report.NORMALITY_METHODS == TABLE_METHODS == ("lobato", "epps", "rp", "vavra")
+        assert report.UNIT_ROOT_METHODS == ("adf", "kpss", "lb")
+
     def test_stationarity_warning_on_random_walk(self):
         w = Series(np.cumsum(np.asarray(simulate_arma(ArmaSpec(), 400, 0, RngStream(4302)).values)))
         rep = dispatch("lobato", w)
@@ -154,13 +177,6 @@ class TestCheck:
         a = render_check_text(check(s, cfg, data_name="y"))
         b = render_check_text(check(s, cfg, data_name="y"))
         assert a == b
-
-    def test_seasonal_note_when_period_set(self):
-        s = simulate_arma(ArmaSpec(), 400, 0, RngStream(4405))
-        seasonal = Series(s.values, period=12)
-        cfg = CheckConfig(normality="lobato", seed=RngStream(12))
-        rep = check(seasonal, cfg, data_name="y")
-        assert any("seasonal tests: not implemented" in n for n in rep.stationarity.notes)
 
     def test_plot_data_contracts(self, tmp_path):
         n = 500

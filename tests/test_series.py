@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +11,9 @@ from norts import (
     InvalidSpecError,
     RngStream,
     Series,
+    autocovariances,
     read_series_csv,
-    sample_autocov,
     sample_central_moment,
-    sample_mean,
     simulate_arma,
     simulate_garch,
 )
@@ -44,24 +41,6 @@ class TestSeriesType:
         with pytest.raises(ValueError):
             s.values[0] = 5.0
 
-    def test_period_validation(self):
-        assert Series(np.ones(3), period=12).period == 12
-        with pytest.raises(InvalidInputError):
-            Series(np.ones(3), period=0)
-
-
-class TestSampleMean:
-    def test_symmetric(self):
-        assert sample_mean([1.0, 2.0, 3.0]) == 2.0
-
-    def test_constant(self):
-        assert sample_mean([4.2] * 17) == 4.2
-
-    def test_matches_compensated_summation(self):
-        x = simulate_arma(ArmaSpec(ar=(0.5,)), 250, 100, RngStream(21))
-        oracle = math.fsum(x.values) / len(x)
-        assert abs(sample_mean(x) - oracle) < 1e-12
-
 
 class TestCentralMoment:
     def test_pm_one_variance(self):
@@ -86,23 +65,34 @@ class TestCentralMoment:
 
 class TestAutocov:
     def test_lag_zero_is_variance(self, s20):
-        assert sample_autocov(s20, 0) == pytest.approx(sample_central_moment(s20, 2), abs=1e-15)
+        assert autocovariances(s20, 0)[0] == pytest.approx(
+            sample_central_moment(s20, 2), abs=1e-15
+        )
 
     def test_boundary_lag(self, s20):
         n = len(s20)
         mu = s20.values.mean()
         oracle = (s20.values[-1] - mu) * (s20.values[0] - mu) / n
-        assert sample_autocov(s20, n - 1) == pytest.approx(oracle, abs=1e-15)
+        assert autocovariances(s20)[n - 1] == pytest.approx(oracle, abs=1e-15)
 
     def test_naive_loop_oracle(self, s20):
         n = len(s20)
         mu = sum(s20.values) / n
         oracle = sum((s20.values[i + 3] - mu) * (s20.values[i] - mu) for i in range(n - 3)) / n
-        assert abs(sample_autocov(s20, 3) - oracle) < 1e-12
+        assert abs(autocovariances(s20, 3)[3] - oracle) < 1e-12
 
     def test_rejects_out_of_range_lag(self, s20):
         with pytest.raises(InvalidInputError):
-            sample_autocov(s20, len(s20))
+            autocovariances(s20, len(s20))
+        with pytest.raises(InvalidInputError):
+            autocovariances(s20, -1)
+
+    def test_cauchy_schwarz_bound(self):
+        master = RngStream(4500)
+        for j in range(50):
+            s = simulate_arma(ArmaSpec(ar=(0.8,)), 60, 30, master.substream(j))
+            gamma = autocovariances(s, 10)
+            assert np.all(np.abs(gamma) <= gamma[0] * (1 + 1e-12))
 
 
 @given(values=finite_values, a=st.floats(0.2, 4.0), b=st.floats(-5, 5))
@@ -116,61 +106,32 @@ def test_affine_scaling_properties(values, a, b):
         left = sample_central_moment(y, k)
         right = a**k * sample_central_moment(x, k)
         assert left == pytest.approx(right, rel=1e-9, abs=1e-9)
-    for h in (0, 1, 2):
-        assert sample_autocov(y, h) == pytest.approx(
-            a**2 * sample_autocov(x, h), rel=1e-9, abs=1e-9
-        )
+    assert autocovariances(y, 2) == pytest.approx(
+        a**2 * autocovariances(x, 2), rel=1e-9, abs=1e-9
+    )
 
 
 @given(values=st.lists(st.floats(-20, 20, allow_nan=False), min_size=7, max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_autocov_toeplitz_psd(values):
     x = np.array(values)
-    gamma = [sample_autocov(x, h) for h in range(6)]
+    gamma = autocovariances(x, 5)
     mat = np.array([[gamma[abs(i - j)] for j in range(6)] for i in range(6)])
     eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() >= -1e-10 * max(gamma[0], 1.0)
-
-
-class TestSummarize:
-    def test_lag_zero_equals_variance_exactly(self, s20):
-        from norts import summarize
-
-        summary = summarize(s20, max_moment=4, max_lag=5)
-        assert summary.autocov[0] == summary.central_moments[2]
-        assert summary.mean == sample_mean(s20)
-        assert set(summary.central_moments) == {2, 3, 4}
-        assert set(summary.autocov) == {0, 1, 2, 3, 4, 5}
-
-    def test_cauchy_schwarz_bound(self):
-        from norts import summarize
-
-        master = RngStream(4500)
-        for j in range(50):
-            s = simulate_arma(ArmaSpec(ar=(0.8,)), 60, 30, master.substream(j))
-            summary = summarize(s, max_lag=10)
-            for h, g in summary.autocov.items():
-                assert abs(g) <= summary.autocov[0] * (1 + 1e-12)
-
-    def test_invariant_violations_rejected(self):
-        from norts import InvalidInputError, SummaryMoments
-
-        with pytest.raises(InvalidInputError):
-            SummaryMoments(mean=0.0, central_moments={2: 1.0}, autocov={0: 2.0})
-        with pytest.raises(InvalidInputError):
-            SummaryMoments(mean=0.0, central_moments={2: 1.0}, autocov={0: 1.0, 1: 1.5})
 
 
 class TestSimulateArma:
     def test_white_noise_mean(self):
         n = 4000
         s = simulate_arma(ArmaSpec(), n, 0, RngStream(7))
-        assert abs(sample_mean(s)) < 4 / np.sqrt(n)
+        assert abs(np.mean(s.values)) < 4 / np.sqrt(n)
 
     def test_ar1_autocorrelation(self):
         n = 100_000
         s = simulate_arma(ArmaSpec(ar=(0.4,)), n, 500, RngStream(8))
-        rho1 = sample_autocov(s, 1) / sample_autocov(s, 0)
+        d = s.values - np.mean(s.values)
+        rho1 = (d[1:] @ d[:-1]) / (d @ d)
         assert abs(rho1 - 0.4) < 0.02
 
     def test_seed_replay_bit_identical(self):
@@ -197,14 +158,14 @@ class TestSimulateGarch:
         spec = GarchSpec(alpha0=1.0, alpha=(0.0,), beta=(0.0,), mu=2.0)
         n = 50_000
         s = simulate_garch(spec, n, 100, RngStream(11))
-        assert abs(sample_mean(s) - 2.0) < 4 / np.sqrt(n)
-        assert abs(sample_autocov(s, 0) - 1.0) < 0.05
+        assert abs(np.mean(s.values) - 2.0) < 4 / np.sqrt(n)
+        assert abs(np.var(s.values) - 1.0) < 0.05
 
     def test_unconditional_variance(self):
         spec = GarchSpec(alpha0=1.0, alpha=(0.2,), beta=(0.3,))
         s = simulate_garch(spec, 100_000, 500, RngStream(12))
         target = 1.0 / (1 - 0.5)
-        assert abs(sample_autocov(s, 0) - target) / target < 0.05
+        assert abs(np.var(s.values) - target) / target < 0.05
 
     def test_seed_replay_bit_identical(self):
         spec = GarchSpec(alpha0=0.5, alpha=(0.1,), beta=(0.2,))
