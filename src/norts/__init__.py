@@ -22,7 +22,7 @@ from .epps import (
     spectral_zero,
 )
 from .errors import InvalidInputError, InvalidSpecError, NortsError, NumericDegeneracyError
-from .harness import RejectionTable, ScenarioResult, ScenarioSpec, reproduce_tables, run_scenario
+from .harness import ScenarioResult, ScenarioSpec, reproduce_tables, run_scenario
 from .lobato import LobatoResult, fk_hat, lobato_test
 from .report import (
     CheckConfig,
@@ -33,7 +33,6 @@ from .report import (
     render_check_text,
     render_json,
     render_text,
-    report_from_json,
     test_dispatch,
 )
 from .rng import RngStream
@@ -53,7 +52,6 @@ from .series import (
     as_series,
     autocovariances,
     read_series_csv,
-    sample_central_moment,
     simulate_arma,
     simulate_garch,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "Series",
     "as_series",
     "read_series_csv",
-    "sample_central_moment",
     "autocovariances",
     "ArmaSpec",
     "GarchSpec",
@@ -125,7 +122,6 @@ __all__ = [
     # harness
     "ScenarioSpec",
     "ScenarioResult",
-    "RejectionTable",
     "run_scenario",
     "reproduce_tables",
     # reports
@@ -136,7 +132,6 @@ __all__ = [
     "check",
     "render_text",
     "render_json",
-    "report_from_json",
     "render_check_text",
     "render_check_json",
 ]

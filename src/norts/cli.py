@@ -78,15 +78,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--method", required=True, choices=tuple(METHODS))
     p_test.add_argument("--lambda", dest="lam", type=_floats, default=None,
                         help="comma-separated frequency grid for the epps test")
-    p_test.add_argument("--k", type=int, default=64, help="number of random projections (rp)")
-    p_test.add_argument("--pars1", type=_pair, default=(2.0, 7.0), help="first beta parameter pair (rp)")
-    p_test.add_argument("--pars2", type=_pair, default=(100.0, 1.0), help="second beta parameter pair (rp)")
-    p_test.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=1000,
+    p_test.add_argument("--k", type=int, default=None, help="number of random projections (rp)")
+    p_test.add_argument("--pars1", type=_pair, default=None, help="first beta parameter pair (rp)")
+    p_test.add_argument("--pars2", type=_pair, default=None, help="second beta parameter pair (rp)")
+    p_test.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=None,
                         help="bootstrap replications (vavra)")
     p_test.add_argument("--max-order", type=int, default=None, help="sieve order cap (vavra)")
-    p_test.add_argument("--bootstrap", choices=("normal", "residuals"), default="normal",
+    p_test.add_argument("--bootstrap", choices=("normal", "residuals"), default=None,
                         help="bootstrap innovation source (vavra)")
-    p_test.add_argument("--lags", type=int, default=10, help="number of lags (lb)")
+    p_test.add_argument("--lags", type=int, default=None, help="number of lags (lb)")
     _add_common(p_test)
     p_test.add_argument("file", help="CSV file with one column of reals")
     p_test.set_defaults(func=_cmd_test)
@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--laws", type=_names, default=None,
                        help="innovation laws (default: normal,lognormal,t(3),chisq(10),beta(7,1))")
     p_sim.add_argument("--k", type=int, default=10, help="projections for the rp method")
-    p_sim.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=1000,
+    p_sim.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=None,
                        help="bootstrap replications for the vavra method")
     p_sim.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p_sim.add_argument("--skip-failures", action="store_true",
@@ -116,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="stationarity + normality report for a residual series")
     p_check.add_argument("--unit-root", choices=UNIT_ROOT_METHODS, default="adf")
     p_check.add_argument("--normality", choices=NORMALITY_METHODS, default="rp")
-    p_check.add_argument("--k", type=int, default=64, help="projections when normality=rp")
-    p_check.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=1000,
+    p_check.add_argument("--k", type=int, default=None, help="projections when normality=rp")
+    p_check.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=None,
                          help="replications when normality=vavra")
     p_check.add_argument("--plot-data", action="store_true", help="write the four plot-data CSV files")
     _add_common(p_check)

@@ -64,13 +64,14 @@ def chi2_sf(x, df: int):
     return float(out) if out.ndim == 0 else out
 
 
-_LAW_ARITY = {
-    "normal": 0,
-    "lognormal": 0,
-    "t": 1,
-    "chisq": 1,
-    "beta": 2,
-    "gamma": 2,
+# Each law's parameter count and its quantile function of (params, u).
+_LAWS = {
+    "normal": (0, lambda p, u: special.ndtri(u)),
+    "lognormal": (0, lambda p, u: np.exp(special.ndtri(u))),
+    "t": (1, lambda p, u: special.stdtrit(p[0], u)),
+    "chisq": (1, lambda p, u: 2.0 * special.gammaincinv(p[0] / 2.0, u)),
+    "beta": (2, lambda p, u: special.betaincinv(p[0], p[1], u)),
+    "gamma": (2, lambda p, u: special.gammaincinv(p[1], u) / p[0]),  # p = (rate, shape)
 }
 
 
@@ -87,15 +88,14 @@ class InnovationLaw:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.name not in _LAW_ARITY:
+        if self.name not in _LAWS:
             raise InvalidInputError(
-                f"unknown innovation law {self.name!r}; expected one of {sorted(_LAW_ARITY)}"
+                f"unknown innovation law {self.name!r}; expected one of {sorted(_LAWS)}"
             )
         params = tuple(float(p) for p in self.params)
-        if len(params) != _LAW_ARITY[self.name]:
-            raise InvalidInputError(
-                f"law {self.name!r} takes {_LAW_ARITY[self.name]} parameter(s), got {len(params)}"
-            )
+        arity = _LAWS[self.name][0]
+        if len(params) != arity:
+            raise InvalidInputError(f"law {self.name!r} takes {arity} parameter(s), got {len(params)}")
         if any(not np.isfinite(p) or p <= 0 for p in params):
             raise InvalidInputError(f"law {self.name!r} requires strictly positive parameters")
         object.__setattr__(self, "params", params)
@@ -155,24 +155,7 @@ class InnovationLaw:
         return cls(text)
 
 
-def _law_quantile(law: InnovationLaw, u):
-    if law.name == "normal":
-        return special.ndtri(u)
-    if law.name == "lognormal":
-        return np.exp(special.ndtri(u))
-    if law.name == "t":
-        return special.stdtrit(law.params[0], u)
-    if law.name == "chisq":
-        return 2.0 * special.gammaincinv(law.params[0] / 2.0, u)
-    if law.name == "beta":
-        return special.betaincinv(law.params[0], law.params[1], u)
-    if law.name == "gamma":
-        rate, shape = law.params
-        return special.gammaincinv(shape, u) / rate
-    raise InvalidInputError(f"unknown innovation law {law.name!r}")
-
-
 def sample(law: InnovationLaw, rng: RngStream, size: int | None = None):
     """Draw from ``law`` by inverse CDF; scalar when ``size`` is None."""
-    out = _law_quantile(law, rng.uniform(size))
+    out = _LAWS[law.name][1](law.params, rng.uniform(size))
     return float(out) if size is None else np.asarray(out, dtype=float)

@@ -91,6 +91,11 @@ class EppsResult:
     converged: bool
 
 
+def _grid(g0: float) -> Lambda:
+    sd = np.sqrt(g0)
+    return Lambda((1.0 / sd, 2.0 / sd))
+
+
 def default_lambda(s) -> Lambda:
     """Default grid (1, 2) scaled by the reciprocal sample standard deviation.
 
@@ -103,8 +108,7 @@ def default_lambda(s) -> Lambda:
     g0 = float(np.mean(d * d))
     if g0 <= 0.0:
         raise InvalidInputError("series has zero variance")
-    sd = np.sqrt(g0)
-    return Lambda((1.0 / sd, 2.0 / sd))
+    return _grid(g0)
 
 
 def g_vector(x: float, lam: Lambda) -> np.ndarray:
@@ -140,6 +144,20 @@ def g_hat(s, lam: Lambda) -> np.ndarray:
     return _g_matrix(s.values, lam).mean(axis=0)
 
 
+def _long_run(d: np.ndarray) -> np.ndarray:
+    # Bartlett-weighted long-run covariance of the (centred) rows of d
+    n = d.shape[0]
+    m = int(np.floor(n ** (2.0 / 5.0)))
+    mat = d.T @ d
+    for i in range(1, m + 1):
+        w = 1.0 - i / m
+        if w <= 0.0:
+            break
+        cross = d[: n - i].T @ d[i:]
+        mat += w * (cross + cross.T)
+    return mat / n
+
+
 def spectral_zero(s, lam: Lambda) -> np.ndarray:
     """Long-run covariance (2 pi times the zero-frequency spectral density)
     of the moment vector process.
@@ -150,18 +168,9 @@ def spectral_zero(s, lam: Lambda) -> np.ndarray:
     """
     s = as_series(s)
     require_test_length(s)
-    n = len(s)
     d = _g_matrix(s.values, lam)
     d -= d.mean(axis=0)
-    m = int(np.floor(n ** (2.0 / 5.0)))
-    mat = d.T @ d
-    for i in range(1, m + 1):
-        w = 1.0 - i / m
-        if w <= 0.0:
-            break
-        cross = d[: n - i].T @ d[i:]
-        mat += w * (cross + cross.T)
-    return mat / n
+    return _long_run(d)
 
 
 def _pinv(mat: np.ndarray) -> tuple[np.ndarray, int]:
@@ -320,14 +329,18 @@ def epps_test(s, lam: Lambda | None = None) -> EppsResult:
     if g0 <= 0.0:
         raise InvalidInputError("series has zero variance")
     if lam is None:
-        lam = default_lambda(s)
+        lam = _grid(g0)
     if lam.size > MAX_GRID_SIZE:
         raise InvalidInputError(
             f"frequency grids larger than {MAX_GRID_SIZE} points are not supported"
         )
 
-    ghat = g_hat(s, lam)
-    weight, rank = _pinv(spectral_zero(s, lam))
+    # one matrix of moment terms gives both the sample moments and, once
+    # centred, their long-run covariance
+    terms = _g_matrix(s.values, lam)
+    ghat = terms.mean(axis=0)
+    terms -= ghat
+    weight, rank = _pinv(_long_run(terms))
     if rank <= 2:
         raise NumericDegeneracyError(
             f"long-run covariance of the {2 * lam.size} moment conditions has rank "

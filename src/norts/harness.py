@@ -27,7 +27,6 @@ from .series import ArmaSpec, simulate_arma
 __all__ = [
     "ScenarioSpec",
     "ScenarioResult",
-    "RejectionTable",
     "run_scenario",
     "reproduce_tables",
     "TABLE_METHODS",
@@ -45,6 +44,8 @@ TABLE_LAWS = (
     InnovationLaw.beta(7, 1),
 )
 TABLE_PHIS = (-0.4, -0.25, 0.0, 0.25, 0.4)
+# Simulated points discarded before each trial's series.
+BURN_IN = 500
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class ScenarioSpec:
     n: int
     method: str
     method_options: dict = field(default_factory=dict)
-    burn_in: int = 500
     trials: int = 200
     alpha: float = 0.05
 
@@ -69,8 +69,6 @@ class ScenarioSpec:
             raise InvalidInputError("trials must be positive")
         if int(self.n) < 10:
             raise InvalidInputError("series length must be at least 10")
-        if int(self.burn_in) < 0:
-            raise InvalidInputError("burn-in must be non-negative")
         if self.method not in TABLE_METHODS:
             raise InvalidInputError(
                 f"unknown method {self.method!r}; expected one of {TABLE_METHODS}"
@@ -78,7 +76,6 @@ class ScenarioSpec:
         object.__setattr__(self, "phi", float(self.phi))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "burn_in", int(self.burn_in))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "method_options", dict(self.method_options))
 
@@ -92,11 +89,10 @@ class ScenarioResult:
     seconds_per_trial: float
 
 
-def _trial_pvalue(spec: ScenarioSpec, stream: RngStream) -> float:
+def _trial_pvalue(spec: ScenarioSpec, arma: ArmaSpec, stream: RngStream) -> float:
     sim_rng = stream.substream(0)
     test_rng = stream.substream(1)
-    ar = (spec.phi,) if spec.phi != 0.0 else ()
-    series = simulate_arma(ArmaSpec(ar=ar, innovation=spec.law), spec.n, spec.burn_in, sim_rng)
+    series = simulate_arma(arma, spec.n, BURN_IN, sim_rng)
     report = test_dispatch(
         spec.method, series, rng=test_rng, warn_stationarity=False, **spec.method_options
     )
@@ -105,10 +101,11 @@ def _trial_pvalue(spec: ScenarioSpec, stream: RngStream) -> float:
 
 def _trial_batch(args):
     spec, scenario_stream, indices, skip_failures = args
+    arma = ArmaSpec(ar=(spec.phi,) if spec.phi != 0.0 else (), innovation=spec.law)
     out = []
     for j in indices:
         try:
-            out.append((j, _trial_pvalue(spec, scenario_stream.substream(j)), None))
+            out.append((j, _trial_pvalue(spec, arma, scenario_stream.substream(j)), None))
         except NortsError as exc:
             out.append((j, None, exc))
             if not skip_failures:
@@ -173,13 +170,6 @@ class TableRow:
     seconds_per_trial: float
 
 
-@dataclass
-class RejectionTable:
-    """Rows of the rejection-rate grid, in the order they ran."""
-
-    rows: list[TableRow] = field(default_factory=list)
-
-
 _CSV_FIELDS = ("method", "law", "phi", "n", "rate", "trials")
 
 
@@ -204,8 +194,9 @@ def reproduce_tables(
     skip_failures: bool = False,
     timing: bool = False,
     progress=None,
-) -> RejectionTable:
-    """Run the full rejection-rate grid and stream it to a CSV file.
+) -> list[TableRow]:
+    """Run the full rejection-rate grid, stream it to a CSV file and return
+    its rows in the order they ran.
 
     Rows are written and flushed scenario by scenario, so an interrupted
     run leaves every completed cell on disk.  ``method_options`` maps a
@@ -219,7 +210,7 @@ def reproduce_tables(
             raise InvalidInputError(f"unknown method {mth!r}; expected one of {TABLE_METHODS}")
     method_options = dict(method_options or {})
     master = RngStream(seed)
-    table = RejectionTable()
+    rows = []
     header = _CSV_FIELDS + (("seconds_per_trial",) if timing else ())
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -250,9 +241,9 @@ def reproduce_tables(
                             trials=result.trials_used,
                             seconds_per_trial=result.seconds_per_trial,
                         )
-                        table.rows.append(row)
+                        rows.append(row)
                         writer.writerow(_format_row(row, timing))
                         fh.flush()
                         if progress is not None:
                             progress(row)
-    return table
+    return rows

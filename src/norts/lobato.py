@@ -15,7 +15,7 @@ import numpy as np
 
 from .dist import chi2_sf
 from .errors import InvalidInputError, NumericDegeneracyError
-from .series import as_series, autocovariances, require_test_length, sample_central_moment
+from .series import as_series, autocovariances, require_test_length
 
 __all__ = ["LobatoResult", "fk_hat", "lobato_test"]
 
@@ -31,6 +31,13 @@ class LobatoResult:
     kurtosis_term: float
 
 
+def _fk(g: np.ndarray, k: int) -> float:
+    # t and -t contribute equally; gamma(n-t) for t=1..n-1 is g reversed
+    tail = g[1:]
+    comp = tail[::-1]
+    return float(g[0] ** k + 2.0 * np.sum(tail * (tail + comp) ** (k - 1)))
+
+
 def fk_hat(s, k: int) -> float:
     """Long-run studentization sum for the k-th moment condition, k in {3, 4}.
 
@@ -43,11 +50,7 @@ def fk_hat(s, k: int) -> float:
     if k not in (3, 4):
         raise InvalidInputError(f"moment order must be 3 or 4, got {k}")
     require_test_length(s)
-    g = autocovariances(s)
-    # t and -t contribute equally; gamma(n-t) for t=1..n-1 is g reversed
-    tail = g[1:]
-    comp = g[1:][::-1]
-    return float(g[0] ** k + 2.0 * np.sum(tail * (tail + comp) ** (k - 1)))
+    return _fk(autocovariances(s), k)
 
 
 def lobato_test(s) -> LobatoResult:
@@ -64,13 +67,16 @@ def lobato_test(s) -> LobatoResult:
     """
     s = as_series(s)
     require_test_length(s)
-    mu2 = sample_central_moment(s, 2)
+    d = s.values - np.mean(s.values)
+    mu2 = float(np.mean(d**2))
     if mu2 <= 0.0:
         raise InvalidInputError("series has zero variance")
-    mu3 = sample_central_moment(s, 3)
-    mu4 = sample_central_moment(s, 4)
-    f3 = fk_hat(s, 3)
-    f4 = fk_hat(s, 4)
+    mu3 = float(np.mean(d**3))
+    mu4 = float(np.mean(d**4))
+    # one autocovariance sequence serves both studentization sums
+    g = autocovariances(s)
+    f3 = _fk(g, 3)
+    f4 = _fk(g, 4)
     if f3 <= 0.0 or f4 <= 0.0:
         raise NumericDegeneracyError(
             f"non-positive studentization sum (F3={f3:.6g}, F4={f4:.6g})"

@@ -11,7 +11,8 @@ tuples are derived from it.
 Every test outcome is rendered through :class:`TestReport`, which carries
 the method label, named statistics, degrees of freedom where defined, the
 p-value and the alternative-hypothesis line.  Text output follows the
-classic hypothesis-test print layout; JSON output round-trips exactly.
+classic hypothesis-test print layout; JSON output carries the same fields
+with every float at full precision.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .dist import normal_ppf
 from .epps import Lambda, epps_test
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NortsError
 from .lobato import lobato_test
 from .rng import RngStream
 from .rp import ProjectionConfig, rp_test
@@ -46,10 +47,8 @@ __all__ = [
     "check",
     "render_text",
     "render_json",
-    "report_from_json",
     "render_check_text",
     "render_check_json",
-    "check_report_from_json",
 ]
 
 GAUSSIAN_ALTERNATIVE = "{name} does not follow a Gaussian Process"
@@ -107,24 +106,8 @@ def _report_to_dict(report: TestReport) -> dict:
     }
 
 
-def _report_from_dict(payload: dict) -> TestReport:
-    return TestReport(
-        method=payload["method"],
-        statistics={k: float(v) for k, v in payload["statistics"].items()},
-        p_value=float(payload["p_value"]),
-        df=None if payload["df"] is None else int(payload["df"]),
-        alternative=payload["alternative"],
-        data_name=payload["data_name"],
-        notes=tuple(payload["notes"]),
-    )
-
-
 def render_json(report: TestReport) -> str:
     return json.dumps(_report_to_dict(report), indent=2)
-
-
-def report_from_json(text: str) -> TestReport:
-    return _report_from_dict(json.loads(text))
 
 
 def _auto_stream(rng: RngStream | None) -> tuple[RngStream, tuple[str, ...]]:
@@ -135,9 +118,13 @@ def _auto_stream(rng: RngStream | None) -> tuple[RngStream, tuple[str, ...]]:
 
 
 def _stationarity_note(s, alpha: float) -> tuple[str, ...]:
+    # advisory only: a pre-check that cannot run becomes a note, not a failure
     if len(s) < 30:
         return ()
-    pre = adf_test(s, alpha=alpha)
+    try:
+        pre = adf_test(s, alpha=alpha)
+    except NortsError as exc:
+        return (f"warning: augmented Dickey-Fuller pre-check failed: {exc}",)
     if pre.conclusion == "non-stationary":
         return (
             "warning: augmented Dickey-Fuller does not reject a unit root "
@@ -260,8 +247,8 @@ def test_dispatch(
 ) -> TestReport:
     """Run the named test on the series and wrap it in a :class:`TestReport`.
 
-    Normality methods are preceded by an ADF check whose warning, if any,
-    is attached to the report notes.  Seeded methods draw from ``rng``
+    Normality methods are preceded by an advisory ADF check: its warning,
+    or the reason it could not run, is attached to the report notes.  Seeded methods draw from ``rng``
     when given and otherwise auto-seed from entropy, echoing the seed in
     the notes for replay.  ``options`` go to the method's runner; an
     option the method does not take is an input error.
@@ -465,13 +452,3 @@ def render_check_json(report: CheckReport) -> str:
     }
     return json.dumps(payload, indent=2)
 
-
-def check_report_from_json(text: str) -> CheckReport:
-    payload = json.loads(text)
-    return CheckReport(
-        stationarity=_report_from_dict(payload["stationarity"]),
-        stationarity_conclusion=payload["stationarity_conclusion"],
-        normality=_report_from_dict(payload["normality"]),
-        normality_conclusion=payload["normality_conclusion"],
-        verdict=payload["verdict"],
-    )

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 STICK_CAP = 10_000
+# Stick-breaking stops once the sticks hold this much of the unit mass.
+TRUNCATION_MASS = 1.0 - 1e-9
 _DRAW_ATTEMPTS = 100
 _STICK_CHUNK = 32
 
@@ -48,7 +50,6 @@ class ProjectionConfig:
     k: int = 64
     pars1: tuple[float, float] = (2.0, 7.0)
     pars2: tuple[float, float] = (100.0, 1.0)
-    truncation_mass: float = 1.0 - 1e-9
 
     def __post_init__(self):
         k = int(self.k)
@@ -57,8 +58,6 @@ class ProjectionConfig:
         for pars in (self.pars1, self.pars2):
             if len(pars) != 2 or any(not np.isfinite(p) or p <= 0 for p in pars):
                 raise InvalidInputError(f"beta parameters must be two positive reals, got {pars}")
-        if not 0.0 < self.truncation_mass < 1.0:
-            raise InvalidInputError("truncation mass must lie in (0, 1)")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "pars1", (float(self.pars1[0]), float(self.pars1[1])))
         object.__setattr__(self, "pars2", (float(self.pars2[0]), float(self.pars2[1])))
@@ -95,18 +94,14 @@ class RpResult:
     per_projection: tuple[tuple[str, float, float], ...]
 
 
-def stick_breaking_h(
-    a: float, b: float, rng: RngStream, truncation_mass: float = 1.0 - 1e-9
-) -> ProjectionVector:
+def stick_breaking_h(a: float, b: float, rng: RngStream) -> ProjectionVector:
     """Draw a random direction by beta stick-breaking.
 
     Sticks w_j = v_j * prod(1 - v_i, i < j) with v_j ~ Beta(a, b) are
-    accumulated until their total reaches ``truncation_mass``; the retained
+    accumulated until their total reaches ``TRUNCATION_MASS``; the retained
     sticks are renormalized and square-rooted so the weights have unit l2
     norm.
     """
-    if not 0.0 < truncation_mass < 1.0:
-        raise InvalidInputError("truncation mass must lie in (0, 1)")
     law = InnovationLaw.beta(a, b)
     sticks = []
     total = 0.0
@@ -118,13 +113,13 @@ def stick_breaking_h(
             sticks.append(w)
             total += w
             remaining *= 1.0 - vj
-            if total >= truncation_mass:
+            if total >= TRUNCATION_MASS:
                 weights = np.array(sticks)
                 return ProjectionVector(np.sqrt(weights / weights.sum()))
             if len(sticks) > STICK_CAP:
                 raise NumericDegeneracyError(
                     f"stick-breaking with beta({a:g},{b:g}) failed to reach mass "
-                    f"{truncation_mass} within {STICK_CAP} sticks"
+                    f"{TRUNCATION_MASS} within {STICK_CAP} sticks"
                 )
 
 
@@ -161,17 +156,13 @@ def fdr_combine(pvalues) -> float:
 
 
 def _draw_fitting_projection(
-    pars: tuple[float, float],
-    rng: RngStream,
-    truncation_mass: float,
-    n: int,
-    index: int,
+    pars: tuple[float, float], rng: RngStream, n: int, index: int
 ) -> ProjectionVector:
     # Redraw directions that would leave fewer points than the marginal
     # tests accept; the direction law is independent of the data, so
     # conditioning on a usable length keeps the tests exact under the null.
     for _ in range(_DRAW_ATTEMPTS):
-        h = stick_breaking_h(pars[0], pars[1], rng, truncation_mass)
+        h = stick_breaking_h(pars[0], pars[1], rng)
         if n - (len(h) - 1) >= MIN_TEST_LENGTH:
             return h
     raise InvalidInputError(
@@ -202,7 +193,7 @@ def rp_test(s, cfg: ProjectionConfig) -> RpResult:
         pars = cfg.pars1 if i < half else cfg.pars2
         position = (i % half) + 1
         rng = cfg.seed.substream(i)
-        h = _draw_fitting_projection(pars, rng, cfg.truncation_mass, n, i)
+        h = _draw_fitting_projection(pars, rng, n, i)
         projected = project_series(s, h)
         try:
             if position % 2 == 1:

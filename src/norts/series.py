@@ -1,6 +1,6 @@
-"""Series container, sample-statistic estimators and process simulators.
+"""Series container, sample autocovariances and process simulators.
 
-All moment estimators use divisor ``n`` (not ``n - 1``): the long-run
+The autocovariances use divisor ``n`` (not ``n - 1``): the long-run
 covariance sums consumed by the test modules mix autocovariances at
 complementary lags and are stated for the divisor-``n`` convention.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "Series",
     "as_series",
     "read_series_csv",
-    "sample_central_moment",
     "autocovariances",
     "ArmaSpec",
     "GarchSpec",
@@ -103,18 +102,8 @@ def read_series_csv(path) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# Sample statistics
+# Sample autocovariances
 # ---------------------------------------------------------------------------
-
-def sample_central_moment(s, k: int) -> float:
-    """k-th sample central moment with divisor n, k >= 2."""
-    s = as_series(s)
-    k = int(k)
-    if k < 2:
-        raise InvalidInputError(f"central moment order must be >= 2, got {k}")
-    d = s.values - np.mean(s.values)
-    return float(np.mean(d**k))
-
 
 def autocovariances(s, max_lag: int | None = None) -> np.ndarray:
     """All sample autocovariances for lags 0..max_lag (default n-1)."""

@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _REDRAW_ATTEMPTS = 10
+# Regenerated points discarded before each bootstrap path.
+_BURN_IN = 100
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,6 @@ class SieveConfig:
     seed: RngStream
     replications: int = 1000
     max_order: int | None = None
-    burn_in: int = 100
     bootstrap: str = "normal"
 
     def __post_init__(self):
@@ -61,15 +62,12 @@ class SieveConfig:
             )
         if self.max_order is not None and int(self.max_order) < 0:
             raise InvalidInputError("max_order must be non-negative")
-        if int(self.burn_in) < 0:
-            raise InvalidInputError("burn-in must be non-negative")
         if self.bootstrap not in ("normal", "residuals"):
             raise InvalidInputError("bootstrap must be 'normal' or 'residuals'")
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(
             self, "max_order", None if self.max_order is None else int(self.max_order)
         )
-        object.__setattr__(self, "burn_in", int(self.burn_in))
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
         raise NumericDegeneracyError("sieve residuals have zero variance")
 
     reps = cfg.replications
-    total_len = cfg.burn_in + n
+    total_len = _BURN_IN + n
     a_coef = np.concatenate(([1.0], -phi))
 
     def draw_innovations(rng: RngStream) -> np.ndarray:
@@ -210,12 +208,12 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
     innov = np.empty((reps, total_len))
     for r, rng in enumerate(streams):
         innov[r] = draw_innovations(rng)
-    paths = lfilter([1.0], a_coef, innov, axis=1)[:, cfg.burn_in :]
+    paths = lfilter([1.0], a_coef, innov, axis=1)[:, _BURN_IN:]
     stats = _ad_rows(paths)
 
     for r in np.flatnonzero(np.isnan(stats)):
         for _ in range(_REDRAW_ATTEMPTS):
-            path = lfilter([1.0], a_coef, draw_innovations(streams[r]))[cfg.burn_in :]
+            path = lfilter([1.0], a_coef, draw_innovations(streams[r]))[_BURN_IN:]
             redone = _ad_rows(path[None, :])[0]
             if np.isfinite(redone):
                 stats[r] = redone

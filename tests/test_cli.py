@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from norts import ArmaSpec, RngStream, report_from_json, simulate_arma
+from norts import ArmaSpec, RngStream, simulate_arma
 from norts.cli import main
+
+# small enough that the Dickey-Fuller design is rank deficient
+TINY_40 = 1e-110 * RngStream(3)._generator().standard_normal(40)
 
 
 @pytest.fixture
@@ -23,9 +28,9 @@ class TestTestCommand:
 
     def test_json_output_parses_back(self, gaussian_csv, capsys):
         assert main(["test", "--method", "epps", "--format", "json", str(gaussian_csv)]) == 0
-        rep = report_from_json(capsys.readouterr().out)
-        assert rep.method == "Epps test"
-        assert rep.df == 2
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["method"] == "Epps test"
+        assert rep["df"] == 2
 
     def test_rp_with_seed_is_reproducible(self, gaussian_csv, capsys):
         args = ["test", "--method", "rp", "--k", "8", "--seed", "41", str(gaussian_csv)]
@@ -79,6 +84,24 @@ class TestExitCodes:
         p.write_text("\n".join(f"{v:.6e}" for v in x) + "\n")
         assert main(["test", "--method", "lobato", str(p)]) == 4
         assert "degeneracy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "values, method, extra",
+        [
+            (np.tile([0.0, 1.0], 100), "vavra", ["--reps", "200", "--seed", "4"]),
+            (TINY_40, "epps", []),
+            (TINY_40, "vavra", ["--reps", "200", "--seed", "4"]),
+        ],
+    )
+    def test_failed_stationarity_precheck_is_a_note(self, values, method, extra, tmp_path, capsys):
+        # the advisory ADF check cannot run on these series; the test itself can
+        p = tmp_path / "x.csv"
+        p.write_text("\n".join(repr(float(v)) for v in values) + "\n")
+        assert main(["test", "--method", method, *extra, str(p)]) == 0
+        assert (
+            "note: warning: augmented Dickey-Fuller pre-check failed: "
+            "Dickey-Fuller regression design is rank deficient\n"
+        ) in capsys.readouterr().out
 
     def test_verdict_does_not_change_exit_code(self, tmp_path, capsys):
         # clearly non-normal data still exits 0: the test ran

@@ -1,9 +1,12 @@
-"""Golden CLI outputs for fixed seeds: ``norts test`` for all seven methods,
+"""Golden CLI outputs for fixed seeds: ``norts test`` for all seven methods
+(and, for the four normality methods, the full-precision JSON report),
 ``norts check`` with each seeded normality method, and a ``norts simulate``
 grid over all four normality methods at one and two workers.
 
 A change to any of these bytes is a contract change and must be stated.
 """
+
+import json
 
 import pytest
 
@@ -50,6 +53,49 @@ TEST_GOLDEN = {
         ["--lags", "6"],
         "\n\tLjung-Box\n\ndata:  golden\nX-squared = 26.484, df = 6, p-value = 0.0001808\n"
         "alternative hypothesis: serial correlation present\n",
+    ),
+}
+
+
+
+def _json_report(method, statistics, p_value, df):
+    return {
+        "method": method,
+        "statistics": statistics,
+        "p_value": p_value,
+        "df": df,
+        "alternative": "golden does not follow a Gaussian Process",
+        "data_name": "golden",
+        "notes": [],
+    }
+
+
+# JSON prints every float as its shortest repr, so a last-bit change shows
+JSON_GOLDEN = {
+    "lobato": (
+        [],
+        _json_report("Lobato and Velasco's test", {"lobato": 88.84987989424224},
+                     5.0873746556737566e-20, 2),
+    ),
+    "epps": (
+        [],
+        _json_report("Epps test", {"epps": 4.326323697135304}, 0.11496105633133467, 2),
+    ),
+    "epps-grid": (
+        ["--lambda", "0.5,1,1.5"],
+        _json_report("Epps test", {"epps": 8.547835079925482}, 0.07345046192922261, 4),
+    ),
+    "rp": (
+        ["--k", "8", "--seed", "11"],
+        _json_report("k random projections test",
+                     {"k": 8.0, "lobato": 34.56225170163418, "epps": 5.62662491938933},
+                     6.301460383495215e-16, None),
+    ),
+    "vavra": (
+        ["--reps", "200", "--seed", "12"],
+        _json_report("Psaradakis-Vavra test",
+                     {"A": 1.1987014490455863, "bootstrap mean": 0.39870167314168187},
+                     0.009950248756218905, None),
     ),
 }
 
@@ -118,6 +164,15 @@ def test_test_command_text(method, golden_csv, capsys):
     extra, expected = TEST_GOLDEN[method]
     assert main(["test", "--method", method, *extra, str(golden_csv)]) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("case", sorted(JSON_GOLDEN))
+def test_test_command_json(case, golden_csv, capsys):
+    extra, expected = JSON_GOLDEN[case]
+    method = case.split("-")[0]
+    argv = ["test", "--method", method, *extra, "--format", "json", str(golden_csv)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("normality", sorted(CHECK_GOLDEN))

@@ -63,7 +63,7 @@ class TestRunScenario:
             run_scenario(spec, RngStream(2105))
 
     def test_failure_keeps_its_error_class(self, monkeypatch, tmp_path, capsys):
-        def degenerate(spec, stream):
+        def degenerate(spec, arma, stream):
             raise NumericDegeneracyError("forced breakdown")
 
         monkeypatch.setattr(harness, "_trial_pvalue", degenerate)
@@ -101,7 +101,7 @@ class TestRunScenario:
 class TestReproduceTables:
     def test_smoke_full_grid_single_trial(self, tmp_path):
         out = tmp_path / "table.csv"
-        table = reproduce_tables(
+        table_rows = reproduce_tables(
             methods=("lobato", "epps", "rp", "vavra"),
             ns=(100,),
             m=1,
@@ -109,17 +109,17 @@ class TestReproduceTables:
             seed=2200,
             method_options={"rp": {"k": 10}, "vavra": {"replications": 150}},
         )
-        assert len(table.rows) == 4 * 5 * 5  # methods x laws x phis
+        assert len(table_rows) == 4 * 5 * 5  # methods x laws x phis
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["method", "law", "phi", "n", "rate", "trials"]
-        assert len(rows) == 1 + len(table.rows)
-        rates = {row.rate for row in table.rows}
+        assert len(rows) == 1 + len(table_rows)
+        rates = {row.rate for row in table_rows}
         assert rates <= {0.0, 1.0}  # single-trial rates are 0 or 1
 
     def test_lookup_and_timing_column(self, tmp_path):
         out = tmp_path / "timed.csv"
-        table = reproduce_tables(
+        table_rows = reproduce_tables(
             methods=("lobato",),
             ns=(100, 250),
             m=20,
@@ -129,7 +129,7 @@ class TestReproduceTables:
             laws=(InnovationLaw.normal(),),
             timing=True,
         )
-        rows = {(row.method, row.law, row.phi, row.n): row for row in table.rows}
+        rows = {(row.method, row.law, row.phi, row.n): row for row in table_rows}
         assert rows["lobato", "normal", 0.0, 250].trials == 20
         with open(out) as fh:
             header = fh.readline().strip().split(",")
@@ -142,8 +142,8 @@ class TestReproduceTables:
         full = reproduce_tables(("lobato", "epps"), (100,), out=tmp_path / "a.csv", **kwargs)
         only = reproduce_tables(("epps",), (100,), out=tmp_path / "b.csv", **kwargs)
 
-        def rates(table):
-            return {(row.method, row.law, row.phi, row.n): row.rate for row in table.rows}
+        def rates(table_rows):
+            return {(row.method, row.law, row.phi, row.n): row.rate for row in table_rows}
 
         assert rates(full)["epps", "normal", 0.25, 100] == rates(only)["epps", "normal", 0.25, 100]
 

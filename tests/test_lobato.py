@@ -75,6 +75,19 @@ class TestLobatoTest:
         assert r.df == 2
         assert 0 <= r.p_value <= 1
 
+    def test_naive_loop_oracle(self, s20, s50):
+        # naive-loop central moments and brute-force studentization sums
+        for s in (s20, s50):
+            x = s.values
+            n = len(x)
+            mu = sum(x) / n
+            mu2, mu3, mu4 = (sum((v - mu) ** k for v in x) / n for k in (2, 3, 4))
+            skew = n * mu3**2 / (6.0 * fk_bruteforce(x, 3))
+            kurt = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * fk_bruteforce(x, 4))
+            r = lobato_test(s)
+            assert r.skewness_term == pytest.approx(skew, rel=1e-10)
+            assert r.kurtosis_term == pytest.approx(kurt, rel=1e-10)
+
     def test_ma3_gamma_series_rejected(self):
         # MA(3) driven by skewed gamma innovations: clearly non-normal marginal
         spec = ArmaSpec(ma=(0.2, 0.3, -0.4), innovation=InnovationLaw.gamma(3, 6))

@@ -64,10 +64,6 @@ class TestStickBreaking:
         assert np.median(lengths) <= 4
         assert np.median(first_masses) >= 0.95
 
-    def test_invalid_truncation_mass(self):
-        with pytest.raises(InvalidInputError):
-            stick_breaking_h(2.0, 7.0, RngStream(1), truncation_mass=1.0)
-
 
 class TestProjectionVector:
     def test_rejects_bad_norm(self):
