@@ -6,6 +6,11 @@ identified by a 64-bit ``seed`` plus a path of 64-bit indices whose first
 entry is the ``stream_id``; the pair is hashed into a Philox counter-based
 generator key, so identical identities replay identical sequences on every
 platform and distinct identities give statistically independent output.
+
+:meth:`RngStream.uniform_rows` draws the first uniforms of many sub-streams
+at once.  It derives their keys in one vectorized pass that reproduces
+numpy's ``SeedSequence`` hash, so row ``i`` is bit for bit what
+``substream(i).uniform`` returns.
 """
 
 from __future__ import annotations
@@ -16,6 +21,77 @@ from numpy.random import Generator, Philox, SeedSequence
 from .errors import InvalidInputError
 
 _UINT64_MAX = 2**64 - 1
+
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _words(value: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative int, as numpy splits it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _philox_keys(seed: int, path: tuple[int, ...], indices) -> np.ndarray:
+    """Philox keys of the streams (seed, path + (i,)) for each i in ``indices``.
+
+    Row i equals ``SeedSequence(seed, spawn_key=path + (i,)).generate_state(2,
+    np.uint64)``: the same entropy assembly, pool mixing and output hash,
+    run on uint32 columns over the whole batch.  Indices must be below 2**32
+    so each contributes one entropy word.
+    """
+    index = np.asarray(indices, dtype=np.uint32)
+    seed_words = _words(seed)
+    # A spawn key is present, so numpy zero-pads the seed to the pool size.
+    prefix = seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    for entry in path:
+        prefix += _words(entry)
+    entropy = [np.full(index.shape, w, dtype=np.uint32) for w in prefix] + [index]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(_XSHIFT)
+        return value
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        result ^= result >> np.uint32(_XSHIFT)
+        return result
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        word = word ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        word *= np.uint32(hash_const)
+        word ^= word >> np.uint32(_XSHIFT)
+        state.append(word.astype(np.uint64))
+    # Words pair up little-endian into the two 64-bit key halves.
+    return np.stack(
+        [state[0] | (state[1] << np.uint64(32)), state[2] | (state[3] << np.uint64(32))], axis=-1
+    )
 
 
 class RngStream:
@@ -76,6 +152,22 @@ class RngStream:
         """
         u = self._generator().random(size)
         return np.maximum(u, np.finfo(float).tiny)
+
+    def uniform_rows(self, count: int, size: int) -> np.ndarray:
+        """A (count, size) array whose row i is ``substream(i).uniform(size)``.
+
+        One Philox generator is re-keyed for each row instead of building
+        ``count`` streams, which leaves this stream's own state untouched.
+        """
+        out = np.empty((count, size))
+        bitgen = Philox(0)
+        gen = Generator(bitgen)
+        state = bitgen.state  # counter zero and buffer empty, as in a fresh stream
+        for row, key in zip(out, _philox_keys(self.seed, self.path, np.arange(count))):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.random(out=row)
+        return np.maximum(out, np.finfo(float).tiny, out=out)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"

@@ -105,6 +105,13 @@ def read_series_csv(path) -> Series:
 # Sample autocovariances
 # ---------------------------------------------------------------------------
 
+# On a series longer than this, fewer lags than this take one dot product
+# each instead of the O(n^2) full correlation.  Each dot product equals the
+# matching correlation entry bit for bit; on series of 11 points or fewer
+# numpy sums lag 0 in another order, and the full correlation is cheap there.
+_FEW_LAGS = 64
+
+
 def autocovariances(s, max_lag: int | None = None) -> np.ndarray:
     """All sample autocovariances for lags 0..max_lag (default n-1)."""
     s = as_series(s)
@@ -114,6 +121,8 @@ def autocovariances(s, max_lag: int | None = None) -> np.ndarray:
     if max_lag < 0 or max_lag >= n:
         raise InvalidInputError(f"max_lag must satisfy 0 <= max_lag < n, got {max_lag}")
     d = s.values - np.mean(s.values)
+    if max_lag < _FEW_LAGS < n:
+        return np.array([d[h:] @ d[: n - h] for h in range(max_lag + 1)]) / n
     full = np.correlate(d, d, mode="full")
     return full[n - 1 : n + max_lag] / n
 

@@ -163,13 +163,15 @@ def fit_ar_sieve(s, max_order: int):
 def _ad_rows(x: np.ndarray) -> np.ndarray:
     """Anderson-Darling statistic per row of a 2-d array (nan where degenerate)."""
     n = x.shape[1]
-    mu = x.mean(axis=1, keepdims=True)
-    g0 = np.mean((x - mu) ** 2, axis=1, keepdims=True)
+    z = x - x.mean(axis=1, keepdims=True)
+    g0 = np.mean(z**2, axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.sort((x - mu) / np.sqrt(g0), axis=1)
-        weights = 2.0 * np.arange(1, n + 1) - 1.0
-        total = np.sum(weights * (normal_logcdf(z) + normal_logsf(z[:, ::-1])), axis=1)
-        out = -n - total / n
+        z /= np.sqrt(g0)
+        z.sort(axis=1)
+        terms = normal_logcdf(z)
+        terms += normal_logsf(z[:, ::-1])
+        terms *= 2.0 * np.arange(1, n + 1) - 1.0
+        out = -n - terms.sum(axis=1) / n
     out[~np.isfinite(out)] = np.nan
     out[(g0 <= 0).ravel()] = np.nan
     return out
@@ -178,10 +180,12 @@ def _ad_rows(x: np.ndarray) -> np.ndarray:
 def vavra_test(s, cfg: SieveConfig) -> VavraResult:
     """Sieve-bootstrap Anderson-Darling normality test.
 
-    Each bootstrap replicate draws its innovations from sub-stream r of
-    the configured seed, so the result is deterministic at any degree of
-    parallelism.  Degenerate replicates are redrawn up to 10 times and
-    dropped from the count thereafter.
+    Replicate r draws its innovations from sub-stream r of the configured
+    seed; all replicates come from one batched draw that equals those
+    sub-streams bit for bit, so the result does not depend on how the work
+    is split.  A degenerate replicate is redrawn up to 10 times from the
+    continuation of its own sub-stream (the uniforms after the ones the
+    batch used) and dropped from the count thereafter.
     """
     s = as_series(s)
     require_test_length(s)
@@ -193,27 +197,27 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
     if sigma_e <= 0.0:
         raise NumericDegeneracyError("sieve residuals have zero variance")
 
-    reps = cfg.replications
     total_len = _BURN_IN + n
     a_coef = np.concatenate(([1.0], -phi))
 
-    def draw_innovations(rng: RngStream) -> np.ndarray:
-        u = rng.uniform(total_len)
+    def innovations(u: np.ndarray) -> np.ndarray:
+        """Innovations from uniforms of any shape; overwrites ``u``."""
         if cfg.bootstrap == "normal":
-            return sigma_e * ndtri(u)
+            ndtri(u, out=u)
+            u *= sigma_e
+            return u
         idx = np.minimum((u * resid.size).astype(np.int64), resid.size - 1)
         return resid[idx]
 
-    streams = [cfg.seed.substream(r) for r in range(reps)]
-    innov = np.empty((reps, total_len))
-    for r, rng in enumerate(streams):
-        innov[r] = draw_innovations(rng)
+    innov = innovations(cfg.seed.uniform_rows(cfg.replications, total_len))
     paths = lfilter([1.0], a_coef, innov, axis=1)[:, _BURN_IN:]
     stats = _ad_rows(paths)
 
     for r in np.flatnonzero(np.isnan(stats)):
+        rng = cfg.seed.substream(r)
+        rng.uniform(total_len)  # the draws the batch already used
         for _ in range(_REDRAW_ATTEMPTS):
-            path = lfilter([1.0], a_coef, draw_innovations(streams[r]))[_BURN_IN:]
+            path = lfilter([1.0], a_coef, innovations(rng.uniform(total_len)))[_BURN_IN:]
             redone = _ad_rows(path[None, :])[0]
             if np.isfinite(redone):
                 stats[r] = redone

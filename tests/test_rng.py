@@ -2,8 +2,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
 from norts import InvalidInputError, RngStream
+from norts.rng import _philox_keys
 
 
 def test_identical_identity_replays_identical_sequence():
@@ -66,3 +70,67 @@ def test_invalid_identity_rejected():
         RngStream(0, stream_id=-2)
     with pytest.raises(InvalidInputError):
         RngStream(0).substream(-1)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+PATHS = [
+    (0,),
+    (2**32,),
+    (2**64 - 1,),
+    (3, 2**40),
+    (2**32 - 1, 0, 2**64 - 1),
+    (2**33, 7, 2**40, 2**64 - 1),
+]
+
+
+def numpy_stream(seed, path):
+    return Generator(Philox(SeedSequence(seed, spawn_key=path)))
+
+
+def stream_at(seed, path):
+    s = RngStream(seed, stream_id=path[0])
+    for entry in path[1:]:
+        s = s.substream(entry)
+    return s
+
+
+def test_batched_keys_match_numpy_seed_sequence():
+    indices = np.r_[np.arange(130), [65535, 65536, 2**31, 2**32 - 1]]
+    for seed in SEEDS:
+        for path in PATHS:
+            keys = _philox_keys(seed, path, indices)
+            for i, key in zip(indices, keys):
+                ref = SeedSequence(seed, spawn_key=path + (int(i),)).generate_state(2, np.uint64)
+                np.testing.assert_array_equal(key, ref)
+    assert _philox_keys(5, (1,), np.arange(0)).shape == (0, 2)
+
+
+def test_uniform_rows_match_numpy_streams():
+    for seed in SEEDS:
+        for path in PATHS:
+            rows = stream_at(seed, path).uniform_rows(12, 9)
+            for i, row in enumerate(rows):
+                ref = np.maximum(numpy_stream(seed, path + (i,)).random(9), np.finfo(float).tiny)
+                np.testing.assert_array_equal(row, ref)
+
+
+def test_uniform_rows_edge_counts_leave_stream_untouched():
+    s = RngStream(21, stream_id=4)
+    assert s.uniform_rows(0, 5).shape == (0, 5)
+    np.testing.assert_array_equal(s.uniform_rows(1, 5)[0], s.substream(0).uniform(5))
+    np.testing.assert_array_equal(s.uniform(5), RngStream(21, stream_id=4).uniform(5))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.integers(0, 2**64 - 1),
+    count=st.integers(0, 12),
+    size=st.integers(0, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_uniform_rows_equal_substreams_property(seed, stream_id, count, size):
+    s = RngStream(seed, stream_id=stream_id)
+    rows = s.uniform_rows(count, size)
+    assert rows.shape == (count, size)
+    for i in range(count):
+        np.testing.assert_array_equal(rows[i], s.substream(i).uniform(size))

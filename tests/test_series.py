@@ -64,6 +64,21 @@ class TestAutocov:
         with pytest.raises(InvalidInputError):
             autocovariances(s20, -1)
 
+    def test_few_lags_equal_full_correlation(self):
+        # Few lags take one dot product each; they must equal the entries
+        # of the full correlation bit for bit.
+        gen = np.random.default_rng(46)
+        for n in (10, 11, 64, 65, 250, 1000, 1537, 4000):
+            for scale in (1e-5, 1.0, 1e5):
+                x = gen.standard_t(3, size=n) * scale + gen.uniform(-100, 100)
+                d = x - np.mean(x)
+                full = np.correlate(d, d, mode="full")[n - 1 :] / n
+                for max_lag in {0, 1, 2, 10, 40, 62, 63, 64, n - 2, n - 1}:
+                    if 0 <= max_lag < n:
+                        np.testing.assert_array_equal(
+                            autocovariances(x, max_lag), full[: max_lag + 1]
+                        )
+
     def test_cauchy_schwarz_bound(self):
         master = RngStream(4500)
         for j in range(50):
@@ -107,8 +122,8 @@ class TestSimulateArma:
     def test_ar1_autocorrelation(self):
         n = 100_000
         s = simulate_arma(ArmaSpec(ar=(0.4,)), n, 500, RngStream(8))
-        d = s.values - np.mean(s.values)
-        rho1 = (d[1:] @ d[:-1]) / (d @ d)
+        gamma = autocovariances(s, 1)
+        rho1 = gamma[1] / gamma[0]
         assert abs(rho1 - 0.4) < 0.02
 
     def test_seed_replay_bit_identical(self):

@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.signal import lfilter
+from scipy.special import ndtri
+
+import norts.vavra as vavra_module
 
 from norts import (
     ArmaSpec,
@@ -19,6 +23,7 @@ from norts import (
     simulate_arma,
     vavra_test,
 )
+from norts.vavra import default_max_order
 from norts.dist import normal_cdf
 
 
@@ -175,3 +180,53 @@ class TestVavraTest:
             SieveConfig(seed=RngStream(1), replications=0)
         with pytest.raises(InvalidInputError):
             SieveConfig(seed=RngStream(1), bootstrap="jackknife")
+
+    @pytest.mark.parametrize("bootstrap", ["normal", "residuals"])
+    def test_degenerate_replicate_redraws_from_its_substream(self, monkeypatch, bootstrap):
+        # Replicate r is forced degenerate on the batch call; its redraw must
+        # use uniforms total_len .. 2*total_len - 1 of sub-stream r.
+        s = simulate_arma(ArmaSpec(ar=(0.4,)), 120, 100, RngStream(52))
+        n, r, reps = len(s), 7, 150
+        cfg = SieveConfig(seed=RngStream(53), replications=reps, bootstrap=bootstrap)
+        real_ad_rows = vavra_module._ad_rows
+        batch_calls, redraws = [], []
+
+        def forced(x):
+            out = real_ad_rows(x)
+            if x.shape[0] == reps:
+                batch_calls.append(x)
+                out[r] = np.nan
+            elif batch_calls:  # before the batch, anderson_darling scores the data
+                redraws.append(x[0].copy())
+            return out
+
+        monkeypatch.setattr(vavra_module, "_ad_rows", forced)
+        result = vavra_test(s, cfg)
+        assert result.replications_used == reps
+        assert len(redraws) == 1
+
+        _, phi, resid = fit_ar_sieve(s, default_max_order(n))
+        total_len = 100 + n
+        u = cfg.seed.substream(r).uniform(2 * total_len)[total_len:]
+        if bootstrap == "normal":
+            innov = float(np.sqrt(np.mean(resid**2))) * ndtri(u)
+        else:
+            innov = resid[np.minimum((u * resid.size).astype(np.int64), resid.size - 1)]
+        expected = lfilter([1.0], np.r_[1.0, -phi], innov)[100:]
+        np.testing.assert_array_equal(redraws[0], expected)
+
+    def test_no_per_replicate_generators(self, monkeypatch):
+        # The bootstrap draws all replicates in one batch; building a
+        # generator per replicate would show up here as 1000 calls.
+        s = simulate_arma(ArmaSpec(ar=(0.5,)), 300, 100, RngStream(54))
+        calls = []
+        real_generator = RngStream._generator
+
+        def counting(self):
+            calls.append(self.path)
+            return real_generator(self)
+
+        monkeypatch.setattr(RngStream, "_generator", counting)
+        result = vavra_test(s, SieveConfig(seed=RngStream(55), replications=1000))
+        assert result.replications_used == 1000
+        assert calls == []
