@@ -8,12 +8,11 @@ Four test families are provided: the characteristic-function test
 and a Monte-Carlo rejection-rate harness.
 """
 
-from .dist import InnovationLaw, chi2_sf, normal_cdf, normal_logcdf, normal_logsf, normal_ppf, sample
+from .dist import InnovationLaw, chi2_sf, normal_logcdf, normal_logsf, normal_ppf, sample
 from .epps import (
     EppsResult,
     Lambda,
     ThetaParams,
-    default_lambda,
     epps_test,
     g_hat,
     g_theta,
@@ -71,7 +70,6 @@ __all__ = [
     "RngStream",
     "InnovationLaw",
     "sample",
-    "normal_cdf",
     "normal_logcdf",
     "normal_logsf",
     "normal_ppf",
@@ -89,7 +87,6 @@ __all__ = [
     "Lambda",
     "ThetaParams",
     "EppsResult",
-    "default_lambda",
     "g_vector",
     "g_theta",
     "g_hat",

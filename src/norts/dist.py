@@ -1,8 +1,8 @@
 """Distribution functions and innovation sampling.
 
-The normal CDF family and the chi-square upper tail are thin wrappers over
-``scipy.special`` primitives; sampling is inverse-CDF throughout so that a
-given :class:`~norts.rng.RngStream` yields the same draws on every platform.
+The normal log-CDF and quantile functions and the chi-square upper tail
+are thin wrappers over ``scipy.special`` primitives; sampling is
+inverse-CDF throughout so that a given :class:`~norts.rng.RngStream` yields the same draws on every platform.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import InvalidInputError
 from .rng import RngStream
 
 __all__ = [
-    "normal_cdf",
     "normal_logcdf",
     "normal_logsf",
     "normal_ppf",
@@ -24,11 +23,6 @@ __all__ = [
     "InnovationLaw",
     "sample",
 ]
-
-
-def normal_cdf(x):
-    """Standard normal CDF Phi(x)."""
-    return special.ndtr(x)
 
 
 def normal_logcdf(x):
@@ -42,7 +36,7 @@ def normal_logsf(x):
 
 
 def normal_ppf(q):
-    """Standard normal quantile function, inverse of :func:`normal_cdf`."""
+    """Standard normal quantile function, inverse of Phi."""
     return special.ndtri(q)
 
 
@@ -155,7 +149,12 @@ class InnovationLaw:
         return cls(text)
 
 
+def _quantile(law: InnovationLaw, u):
+    """Quantiles of ``law`` at uniforms ``u`` of any shape, element by element."""
+    return _LAWS[law.name][1](law.params, u)
+
+
 def sample(law: InnovationLaw, rng: RngStream, size: int | None = None):
     """Draw from ``law`` by inverse CDF; scalar when ``size`` is None."""
-    out = _LAWS[law.name][1](law.params, rng.uniform(size))
+    out = _quantile(law, rng.uniform(size))
     return float(out) if size is None else np.asarray(out, dtype=float)

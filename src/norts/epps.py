@@ -25,7 +25,6 @@ __all__ = [
     "Lambda",
     "ThetaParams",
     "EppsResult",
-    "default_lambda",
     "g_vector",
     "g_theta",
     "g_hat",
@@ -94,21 +93,6 @@ class EppsResult:
 def _grid(g0: float) -> Lambda:
     sd = np.sqrt(g0)
     return Lambda((1.0 / sd, 2.0 / sd))
-
-
-def default_lambda(s) -> Lambda:
-    """Default grid (1, 2) scaled by the reciprocal sample standard deviation.
-
-    Scaling by the standard deviation makes every moment condition, and
-    hence the minimized statistic, exactly invariant under affine maps of
-    the data.
-    """
-    s = as_series(s)
-    d = s.values - np.mean(s.values)
-    g0 = float(np.mean(d * d))
-    if g0 <= 0.0:
-        raise InvalidInputError("series has zero variance")
-    return _grid(g0)
 
 
 def g_vector(x: float, lam: Lambda) -> np.ndarray:

@@ -9,13 +9,14 @@ over the full lag range.  The statistic is asymptotically chi-square with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import chi2_sf
 from .errors import InvalidInputError, NumericDegeneracyError
-from .series import as_series, autocovariances, require_test_length
+from .series import _full_autocovariances, as_series, autocovariances, require_test_length
 
 __all__ = ["LobatoResult", "fk_hat", "lobato_test"]
 
@@ -31,11 +32,13 @@ class LobatoResult:
     kurtosis_term: float
 
 
-def _fk(g: np.ndarray, k: int) -> float:
+def _fk(g: np.ndarray, k: int) -> np.ndarray:
+    """Studentization sum per row of a 2-d array of autocovariance sequences."""
     # t and -t contribute equally; gamma(n-t) for t=1..n-1 is g reversed
-    tail = g[1:]
-    comp = tail[::-1]
-    return float(g[0] ** k + 2.0 * np.sum(tail * (tail + comp) ** (k - 1)))
+    tail = g[:, 1:]
+    lag_sums = 2.0 * np.sum(tail * (tail + tail[:, ::-1]) ** (k - 1), axis=1)
+    # scalar powers, as in _terms
+    return np.array([g0**k for g0 in g[:, 0]]) + lag_sums
 
 
 def fk_hat(s, k: int) -> float:
@@ -50,7 +53,45 @@ def fk_hat(s, k: int) -> float:
     if k not in (3, 4):
         raise InvalidInputError(f"moment order must be 3 or 4, got {k}")
     require_test_length(s)
-    return _fk(autocovariances(s), k)
+    return float(_fk(autocovariances(s)[None, :], k)[0])
+
+
+_DEGENERATE = (math.nan,) * 3
+
+
+def _lobato_rows(x: np.ndarray) -> np.ndarray:
+    """lobato_test on each row of a 2-d array, as columns (mu2, F3, F4,
+    skewness term, kurtosis term, p-value).
+
+    The last three read NaN on a row where :func:`lobato_test` raises: zero
+    variance, a non-positive studentization sum or a statistic that is not
+    finite.
+    """
+    n = x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = x - x.mean(axis=1, keepdims=True)
+        mu2, mu3, mu4 = (np.mean(d**k, axis=1) for k in (2, 3, 4))
+        # one autocovariance sequence per row serves both studentization sums
+        g = np.array([_full_autocovariances(row) for row in d])
+        f3, f4 = _fk(g, 3), _fk(g, 4)
+        columns = (mu2.tolist(), mu3.tolist(), mu4.tolist(), f3.tolist(), f4.tolist())
+        terms = [_terms(n, *row) for row in zip(*columns)]
+    return np.column_stack([mu2, f3, f4, np.reshape(terms, (-1, 3))])
+
+
+def _terms(n: int, mu2: float, mu3: float, mu4: float, f3: float, f4: float):
+    """Skewness term, kurtosis term and p-value of one series, in Python
+    floats (numpy's array power can differ from the scalar one in the last
+    bit); NaN where :func:`lobato_test` raises."""
+    if mu2 <= 0.0 or f3 <= 0.0 or f4 <= 0.0:
+        return _DEGENERATE
+    try:
+        skew_term = n * mu3**2 / (6.0 * f3)
+        kurt_term = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
+    except OverflowError:
+        return _DEGENERATE
+    stat = skew_term + kurt_term
+    return (skew_term, kurt_term, chi2_sf(stat, 2)) if math.isfinite(stat) else _DEGENERATE
 
 
 def lobato_test(s) -> LobatoResult:
@@ -63,32 +104,26 @@ def lobato_test(s) -> LobatoResult:
     NumericDegeneracyError
         If a studentization sum comes out non-positive (possible in small
         samples); the sign is surfaced rather than clamped because a silent
-        fix would corrupt the chi-square calibration.
+        fix would corrupt the chi-square calibration.  Also if the moments
+        overflow double precision, so the statistic is not finite.
     """
     s = as_series(s)
     require_test_length(s)
-    d = s.values - np.mean(s.values)
-    mu2 = float(np.mean(d**2))
+    mu2, f3, f4, skew_term, kurt_term, p = _lobato_rows(s.values[None, :])[0].tolist()
     if mu2 <= 0.0:
         raise InvalidInputError("series has zero variance")
-    mu3 = float(np.mean(d**3))
-    mu4 = float(np.mean(d**4))
-    # one autocovariance sequence serves both studentization sums
-    g = autocovariances(s)
-    f3 = _fk(g, 3)
-    f4 = _fk(g, 4)
     if f3 <= 0.0 or f4 <= 0.0:
         raise NumericDegeneracyError(
             f"non-positive studentization sum (F3={f3:.6g}, F4={f4:.6g})"
         )
-    n = len(s)
-    skew_term = n * mu3**2 / (6.0 * f3)
-    kurt_term = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
-    stat = skew_term + kurt_term
+    if math.isnan(p):
+        raise NumericDegeneracyError(
+            "the moments overflow double precision; rescale the series"
+        )
     return LobatoResult(
-        statistic=stat,
+        statistic=skew_term + kurt_term,
         df=2,
-        p_value=chi2_sf(stat, 2),
+        p_value=p,
         skewness_term=skew_term,
         kurtosis_term=kurt_term,
     )

@@ -29,7 +29,7 @@ import numpy as np
 from .dist import normal_ppf
 from .epps import Lambda, epps_test
 from .errors import InvalidInputError, NortsError
-from .lobato import lobato_test
+from .lobato import _lobato_rows, lobato_test
 from .rng import RngStream
 from .rp import ProjectionConfig, rp_test
 from .series import as_series, autocovariances
@@ -154,7 +154,9 @@ class Method:
     report title is ``label``; ``statistics``, ``df`` and ``notes`` read the
     result.  ``alternative`` is the alternative-hypothesis line, with
     ``{name}`` standing for the data name.  Seeded methods draw from a
-    stream; unit-root methods are the stationarity pre-tests.
+    stream; unit-root methods are the stationarity pre-tests.  ``rows``, if
+    set, maps a 2-d array to the p-value ``run`` gives on each row with no
+    options, or NaN where the row needs ``run`` itself (for its error).
     """
 
     label: str
@@ -166,6 +168,7 @@ class Method:
     notes: Callable = lambda r: ()
     seeded: bool = False
     unit_root: bool = False
+    rows: Callable | None = None
 
 
 # Runners look their test up by name at call time, so rebinding a test
@@ -179,6 +182,7 @@ METHODS = {
         lambda r: {"lobato": r.statistic},
         GAUSSIAN_ALTERNATIVE,
         df=lambda r: r.df,
+        rows=lambda x: _lobato_rows(x)[:, -1],
     ),
     "epps": Method(
         "Epps test",

@@ -9,8 +9,9 @@ platform and distinct identities give statistically independent output.
 
 :meth:`RngStream.uniform_rows` draws the first uniforms of many sub-streams
 at once.  It derives their keys in one vectorized pass that reproduces
-numpy's ``SeedSequence`` hash, so row ``i`` is bit for bit what
-``substream(i).uniform`` returns.
+numpy's ``SeedSequence`` hash, so the row of index ``i`` is bit for bit what
+``substream(i).uniform`` returns, or ``substream(i).substream(0).uniform``
+with ``tail=(0,)``.
 """
 
 from __future__ import annotations
@@ -41,13 +42,15 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _philox_keys(seed: int, path: tuple[int, ...], indices) -> np.ndarray:
-    """Philox keys of the streams (seed, path + (i,)) for each i in ``indices``.
+def _philox_keys(
+    seed: int, path: tuple[int, ...], indices, tail: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Philox keys of the streams (seed, path + (i,) + tail) for each i in ``indices``.
 
-    Row i equals ``SeedSequence(seed, spawn_key=path + (i,)).generate_state(2,
-    np.uint64)``: the same entropy assembly, pool mixing and output hash,
-    run on uint32 columns over the whole batch.  Indices must be below 2**32
-    so each contributes one entropy word.
+    Row i equals ``SeedSequence(seed, spawn_key=path + (i,) + tail)
+    .generate_state(2, np.uint64)``: the same entropy assembly, pool mixing
+    and output hash, run on uint32 columns over the whole batch.  Indices
+    must be below 2**32 so each contributes one entropy word.
     """
     index = np.asarray(indices, dtype=np.uint32)
     seed_words = _words(seed)
@@ -55,7 +58,9 @@ def _philox_keys(seed: int, path: tuple[int, ...], indices) -> np.ndarray:
     prefix = seed_words + [0] * (_POOL_SIZE - len(seed_words))
     for entry in path:
         prefix += _words(entry)
+    suffix = [w for entry in tail for w in _words(entry)]
     entropy = [np.full(index.shape, w, dtype=np.uint32) for w in prefix] + [index]
+    entropy += [np.full(index.shape, w, dtype=np.uint32) for w in suffix]
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -153,17 +158,22 @@ class RngStream:
         u = self._generator().random(size)
         return np.maximum(u, np.finfo(float).tiny)
 
-    def uniform_rows(self, count: int, size: int) -> np.ndarray:
-        """A (count, size) array whose row i is ``substream(i).uniform(size)``.
+    def uniform_rows(self, indices, size: int, tail: tuple[int, ...] = ()) -> np.ndarray:
+        """First ``size`` uniforms of the sub-streams ``path + (i,) + tail``,
+        one row per index ``i`` in ``indices`` (each below 2**32).
 
-        One Philox generator is re-keyed for each row instead of building
-        ``count`` streams, which leaves this stream's own state untouched.
+        Row r equals ``substream(indices[r]).uniform(size)`` when ``tail`` is
+        empty and ``substream(indices[r]).substream(0).uniform(size)`` for
+        ``tail=(0,)``.  One Philox generator is re-keyed for each row instead
+        of building a stream per row, which leaves this stream's own state
+        untouched.
         """
-        out = np.empty((count, size))
+        keys = _philox_keys(self.seed, self.path, indices, tail)
+        out = np.empty((len(keys), size))
         bitgen = Philox(0)
         gen = Generator(bitgen)
         state = bitgen.state  # counter zero and buffer empty, as in a fresh stream
-        for row, key in zip(out, _philox_keys(self.seed, self.path, np.arange(count))):
+        for row, key in zip(out, keys):
             state["state"]["key"] = key
             bitgen.state = state
             gen.random(out=row)

@@ -123,8 +123,13 @@ def autocovariances(s, max_lag: int | None = None) -> np.ndarray:
     d = s.values - np.mean(s.values)
     if max_lag < _FEW_LAGS < n:
         return np.array([d[h:] @ d[: n - h] for h in range(max_lag + 1)]) / n
-    full = np.correlate(d, d, mode="full")
-    return full[n - 1 : n + max_lag] / n
+    return _full_autocovariances(d)[: max_lag + 1]
+
+
+def _full_autocovariances(d: np.ndarray) -> np.ndarray:
+    """Autocovariances at lags 0..n-1 of a demeaned 1-d array, by full correlation."""
+    n = d.size
+    return np.correlate(d, d, mode="full")[n - 1 :] / n
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +177,15 @@ def simulate_arma(spec: ArmaSpec, n: int, burn_in: int, rng: RngStream) -> Serie
         raise InvalidInputError("series length must be positive")
     if burn_in < 0:
         raise InvalidInputError("burn-in must be non-negative")
-    eps = sample(spec.innovation, rng, size=burn_in + n)
+    x = _arma_filter(spec, sample(spec.innovation, rng, size=burn_in + n))
+    return Series(x[burn_in:])
+
+
+def _arma_filter(spec: ArmaSpec, eps: np.ndarray) -> np.ndarray:
+    """The ARMA recursion from zero state along the last axis of ``eps``."""
     b = np.concatenate(([1.0], spec.ma))
     a = np.concatenate(([1.0], [-c for c in spec.ar]))
-    x = lfilter(b, a, eps)
-    return Series(x[burn_in:])
+    return lfilter(b, a, eps, axis=-1)
 
 
 @dataclass(frozen=True)

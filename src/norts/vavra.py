@@ -209,7 +209,7 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
         idx = np.minimum((u * resid.size).astype(np.int64), resid.size - 1)
         return resid[idx]
 
-    innov = innovations(cfg.seed.uniform_rows(cfg.replications, total_len))
+    innov = innovations(cfg.seed.uniform_rows(range(cfg.replications), total_len))
     paths = lfilter([1.0], a_coef, innov, axis=1)[:, _BURN_IN:]
     stats = _ad_rows(paths)
 

@@ -85,6 +85,18 @@ class TestExitCodes:
         assert main(["test", "--method", "lobato", str(p)]) == 4
         assert "degeneracy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["lobato", "rp"])
+    def test_overflowing_moments_are_degeneracy_4(self, method, tmp_path, capsys):
+        # third and fourth moments of a 1e150-scaled series exceed double range;
+        # rp meets them in its first lobato projection
+        x = 1e150 * RngStream(7)._generator().standard_normal(200)
+        p = tmp_path / "huge.csv"
+        p.write_text("\n".join(repr(float(v)) for v in x) + "\n")
+        assert main(["test", "--method", method, "--seed", "5", str(p)]) == 4
+        err = capsys.readouterr().err
+        assert "numeric degeneracy" in err and "overflow double precision" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "values, method, extra",
         [

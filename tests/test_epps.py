@@ -15,7 +15,6 @@ from norts import (
     ScenarioSpec,
     Series,
     ThetaParams,
-    default_lambda,
     epps_test,
     g_hat,
     g_theta,
@@ -25,6 +24,7 @@ from norts import (
     simulate_arma,
     spectral_zero,
 )
+from norts.epps import _grid
 
 LAM = Lambda((0.7, 1.9))
 
@@ -34,6 +34,12 @@ NON_NORMAL = {
     "t3": InnovationLaw.student_t(3),
     "beta": InnovationLaw.beta(7, 1),
 }
+
+
+def default_grid(s):
+    """epps_test's default grid: (1, 2) over the divisor-n standard deviation."""
+    d = s.values - np.mean(s.values)
+    return _grid(float(np.mean(d * d)))
 
 
 def spectral_bruteforce(x, lam):
@@ -64,7 +70,7 @@ def nelder_mead_min(s):
     mu = float(np.mean(x))
     g0 = float(np.mean((x - mu) ** 2))
     sd = np.sqrt(g0)
-    lam = default_lambda(s)
+    lam = _grid(g0)
     ghat = g_hat(s, lam)
     weight = pinv_bruteforce(spectral_zero(s, lam))
 
@@ -216,7 +222,7 @@ class TestEppsTest:
 
     def test_minimizer_beats_random_probes(self, s50):
         r = epps_test(s50)
-        lam = default_lambda(s50)
+        lam = default_grid(s50)
         q_star = qn(s50, r.theta_hat, lam)
         rng = RngStream(61)._generator()
         mu = float(np.mean(s50.values))
@@ -251,7 +257,7 @@ class TestEppsTest:
         q_nm = nelder_mead_min(s)
         assert r.converged
         assert r.statistic == pytest.approx(n * q_nm, rel=1e-9)
-        assert qn(s, r.theta_hat, default_lambda(s)) <= q_nm + 1e-12
+        assert qn(s, r.theta_hat, default_grid(s)) <= q_nm + 1e-12
 
     @pytest.mark.parametrize("law", NON_NORMAL.values(), ids=NON_NORMAL.keys())
     @pytest.mark.parametrize("n", [100, 250])
@@ -259,7 +265,7 @@ class TestEppsTest:
         s = simulate_arma(ArmaSpec(ar=(0.3,), innovation=law), n, 200, RngStream(n))
         r = epps_test(s)
         assert r.converged
-        lam = default_lambda(s)
+        lam = default_grid(s)
         sd = float(np.std(s.values))
 
         def q(u0, u1):

@@ -1,17 +1,22 @@
 import csv
+import dataclasses
 
+import numpy as np
 import pytest
 
 from norts import (
+    ArmaSpec,
     InnovationLaw,
     InvalidInputError,
+    NortsError,
     NumericDegeneracyError,
     RngStream,
     ScenarioSpec,
     reproduce_tables,
     run_scenario,
+    simulate_arma,
 )
-from norts import harness
+from norts import harness, report, series
 from norts.cli import main
 
 
@@ -63,10 +68,14 @@ class TestRunScenario:
             run_scenario(spec, RngStream(2105))
 
     def test_failure_keeps_its_error_class(self, monkeypatch, tmp_path, capsys):
-        def degenerate(spec, arma, stream):
+        def degenerate(s, rng, alpha):
             raise NumericDegeneracyError("forced breakdown")
 
-        monkeypatch.setattr(harness, "_trial_pvalue", degenerate)
+        # the rows kernel defers every trial of the chunk to the runner, which fails
+        lobato = dataclasses.replace(
+            report.METHODS["lobato"], run=degenerate, rows=lambda x: np.full(len(x), np.nan)
+        )
+        monkeypatch.setitem(report.METHODS, "lobato", lobato)
         spec = ScenarioSpec(phi=0.0, law=InnovationLaw.normal(), n=100, method="lobato", trials=3)
         with pytest.raises(NumericDegeneracyError, match="trial 0: forced breakdown"):
             run_scenario(spec, RngStream(2106))
@@ -80,6 +89,32 @@ class TestRunScenario:
         for extra in ([], ["--skip-failures"]):
             assert main(argv + extra) == 4
             assert "numeric degeneracy" in capsys.readouterr().err
+
+    def test_degenerate_rows_defer_to_lobato_test(self, monkeypatch):
+        def filtered(arma, eps):
+            x = series._arma_filter(arma, eps)
+            x[1] = 1.0  # zero variance
+            x[3] *= 1e-110  # studentization sums underflow to zero
+            return x
+
+        monkeypatch.setattr(harness, "_arma_filter", filtered)
+        spec = ScenarioSpec(phi=0.25, law=InnovationLaw.normal(), n=100, method="lobato", trials=5)
+        r = run_scenario(spec, RngStream(2107), skip_failures=True)
+        assert r.failures == (
+            "trial 1: series has zero variance",
+            "trial 3: non-positive studentization sum (F3=0, F4=0)",
+        )
+        assert r.trials_used == 3
+        with pytest.raises(InvalidInputError, match="scenario failed: trial 1: series has zero variance"):
+            run_scenario(spec, RngStream(2107))
+
+    def test_option_a_method_does_not_take_is_rejected(self):
+        spec = ScenarioSpec(
+            phi=0.0, law=InnovationLaw.normal(), n=100, method="lobato",
+            method_options={"k": 4}, trials=3,
+        )
+        with pytest.raises(InvalidInputError, match="trial 0: method 'lobato' takes no option 'k'"):
+            run_scenario(spec, RngStream(2108))
 
     def test_skip_failures_requires_survivors(self):
         spec = ScenarioSpec(
@@ -169,3 +204,62 @@ def test_power_monotone_plausible_in_n():
                 spec = ScenarioSpec(phi=0.0, law=law, n=n, method=method, trials=150)
                 rates[n] = run_scenario(spec, master.substream(li).substream(mi).substream(n)).rate
             assert rates[1000] >= rates[100] - 0.05, (law.label, method, rates)
+
+
+def per_trial(spec, stream, j):
+    """Trial j as one series: the reference for the chunked path."""
+    arma = ArmaSpec(ar=(spec.phi,) if spec.phi != 0.0 else (), innovation=spec.law)
+    trial = stream.substream(j)
+    x = simulate_arma(arma, spec.n, harness.BURN_IN, trial.substream(0))
+    try:
+        rep = report.test_dispatch(
+            spec.method, x, rng=trial.substream(1), warn_stationarity=False, **spec.method_options
+        )
+    except NortsError as exc:
+        return type(exc), str(exc)
+    return rep.p_value
+
+
+def chunked(spec, stream, chunk, block_rows, monkeypatch):
+    """Every trial's p-value (or error) from chunks of ``chunk`` trials, each
+    simulated in row blocks of ``block_rows``."""
+    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block_rows * (harness.BURN_IN + spec.n))
+    indices = list(range(spec.trials))
+    out = {}
+    for i in range(0, spec.trials, chunk):
+        for j, p, exc in harness._trial_batch((spec, stream, indices[i : i + chunk], True)):
+            out[j] = p if exc is None else (type(exc), str(exc))
+    return [out[j] for j in indices]
+
+
+@pytest.mark.parametrize("law", harness.TABLE_LAWS, ids=lambda law: law.label)
+def test_chunked_trials_equal_per_trial_series(law, monkeypatch):
+    # chunk sizes of run_scenario at 1, 2 and 3 workers (trials // (4 workers))
+    trials = 25
+    for phi in (-0.4, 0.0, 0.4):
+        for n in (10, 11, 64, 65, 100, 250):
+            spec = ScenarioSpec(phi=phi, law=law, n=n, method="lobato", trials=trials)
+            stream = RngStream(2400, stream_id=n).substream(int(10 * phi) + 4)
+            expected = [per_trial(spec, stream, j) for j in range(trials)]
+            with monkeypatch.context() as m:
+                # the rows kernel scores every trial: none falls back to lobato_test
+                m.setattr(report, "lobato_test", None)
+                for chunk in (trials, trials // 8, trials // 12):
+                    for block_rows in (trials, 3):
+                        got = chunked(spec, stream, chunk, block_rows, m)
+                        assert got == expected, (phi, n, chunk, block_rows)
+
+
+@pytest.mark.parametrize(
+    "method, options",
+    [("epps", {}), ("rp", {"k": 4}), ("vavra", {"replications": 100})],
+)
+def test_chunked_trials_of_unbatched_methods_equal_per_trial_series(method, options, monkeypatch):
+    spec = ScenarioSpec(
+        phi=0.25, law=InnovationLaw.student_t(3), n=100, method=method,
+        method_options=options, trials=6,
+    )
+    stream = RngStream(2401)
+    expected = [per_trial(spec, stream, j) for j in range(spec.trials)]
+    assert chunked(spec, stream, 4, 3, monkeypatch) == expected
+    assert all(isinstance(p, float) for p in expected)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from norts import (
     ArmaSpec,
+    chi2_sf,
     InnovationLaw,
     InvalidInputError,
     NumericDegeneracyError,
@@ -67,6 +68,36 @@ def test_fk_hat_matches_bruteforce_property(values, k):
     assert fk_hat(x, k) == pytest.approx(fk_bruteforce(x, k), rel=1e-10, abs=1e-10)
 
 
+def lobato_one_series(x):
+    """lobato_test's arithmetic on one series, step by step: numpy's array
+    power on the centred data and the lag products, Python's scalar power
+    on the moments and gamma(0)."""
+    n = len(x)
+    d = x - np.mean(x)
+    mu2, mu3, mu4 = (float(np.mean(d**k)) for k in (2, 3, 4))
+    g = np.correlate(d, d, mode="full")[n - 1 :] / n
+    tail = g[1:]
+    f3, f4 = (float(g[0] ** k + 2.0 * np.sum(tail * (tail + tail[::-1]) ** (k - 1))) for k in (3, 4))
+    skew = n * mu3**2 / (6.0 * f3)
+    kurt = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
+    return skew, kurt, chi2_sf(skew + kurt, 2)
+
+
+def test_rows_kernel_matches_one_series_arithmetic_bit_for_bit():
+    laws = (
+        InnovationLaw.student_t(3),
+        InnovationLaw.lognormal(),
+        InnovationLaw.chi_squared(10),
+        InnovationLaw.normal(),
+    )
+    for i in range(400):
+        spec = ArmaSpec(ar=(0.3,), innovation=laws[i % 4])
+        s = simulate_arma(spec, 10 + 7 * (i % 41), 50, RngStream(i, stream_id=9))
+        x = s.values * 10.0 ** (i % 11 - 5)
+        r = lobato_test(x)
+        assert (r.skewness_term, r.kurtosis_term, r.p_value) == lobato_one_series(x), i
+
+
 class TestLobatoTest:
     def test_terms_compose_statistic(self, s50):
         r = lobato_test(s50)
@@ -115,6 +146,12 @@ class TestLobatoTest:
     def test_zero_variance_rejected(self):
         with pytest.raises(InvalidInputError, match="zero variance"):
             lobato_test([1.0] * 20)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_overflowing_scale_surfaces_degeneracy(self, s50, scale):
+        # 1e150 overflowed a Python float power; 1e300 gave a NaN p-value
+        with pytest.raises(NumericDegeneracyError, match="overflow double precision"):
+            lobato_test(scale * s50.values)
 
     def test_underflowing_scale_surfaces_degeneracy(self):
         # values so small that the studentization sums underflow to zero

@@ -94,21 +94,32 @@ def stream_at(seed, path):
     return s
 
 
-def test_batched_keys_match_numpy_seed_sequence():
+def assert_keys_match_seed_sequence(tail):
     indices = np.r_[np.arange(130), [65535, 65536, 2**31, 2**32 - 1]]
     for seed in SEEDS:
         for path in PATHS:
-            keys = _philox_keys(seed, path, indices)
+            keys = _philox_keys(seed, path, indices, tail)
             for i, key in zip(indices, keys):
-                ref = SeedSequence(seed, spawn_key=path + (int(i),)).generate_state(2, np.uint64)
+                spawn_key = path + (int(i),) + tail
+                ref = SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
                 np.testing.assert_array_equal(key, ref)
-    assert _philox_keys(5, (1,), np.arange(0)).shape == (0, 2)
+    assert _philox_keys(5, (1,), np.arange(0), tail).shape == (0, 2)
+
+
+def test_batched_keys_match_numpy_seed_sequence():
+    assert_keys_match_seed_sequence(())
+
+
+@pytest.mark.parametrize("tail", [(0,), (1,), (2**64 - 1, 2**32)])
+def test_batched_keys_with_tail_match_numpy_seed_sequence(tail):
+    # tail (0,) is the Monte-Carlo harness's per-trial simulation stream
+    assert_keys_match_seed_sequence(tail)
 
 
 def test_uniform_rows_match_numpy_streams():
     for seed in SEEDS:
         for path in PATHS:
-            rows = stream_at(seed, path).uniform_rows(12, 9)
+            rows = stream_at(seed, path).uniform_rows(range(12), 9)
             for i, row in enumerate(rows):
                 ref = np.maximum(numpy_stream(seed, path + (i,)).random(9), np.finfo(float).tiny)
                 np.testing.assert_array_equal(row, ref)
@@ -116,8 +127,8 @@ def test_uniform_rows_match_numpy_streams():
 
 def test_uniform_rows_edge_counts_leave_stream_untouched():
     s = RngStream(21, stream_id=4)
-    assert s.uniform_rows(0, 5).shape == (0, 5)
-    np.testing.assert_array_equal(s.uniform_rows(1, 5)[0], s.substream(0).uniform(5))
+    assert s.uniform_rows(range(0), 5).shape == (0, 5)
+    np.testing.assert_array_equal(s.uniform_rows(range(1), 5)[0], s.substream(0).uniform(5))
     np.testing.assert_array_equal(s.uniform(5), RngStream(21, stream_id=4).uniform(5))
 
 
@@ -130,7 +141,26 @@ def test_uniform_rows_edge_counts_leave_stream_untouched():
 @settings(max_examples=40, deadline=None)
 def test_uniform_rows_equal_substreams_property(seed, stream_id, count, size):
     s = RngStream(seed, stream_id=stream_id)
-    rows = s.uniform_rows(count, size)
+    rows = s.uniform_rows(range(count), size)
     assert rows.shape == (count, size)
     for i in range(count):
         np.testing.assert_array_equal(rows[i], s.substream(i).uniform(size))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.integers(0, 2**64 - 1),
+    indices=st.lists(st.integers(0, 2**32 - 1), max_size=8),
+    tail=st.lists(st.integers(0, 2**64 - 1), max_size=2).map(tuple),
+    size=st.integers(0, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_uniform_rows_any_index_set_and_tail_property(seed, stream_id, indices, tail, size):
+    s = RngStream(seed, stream_id=stream_id)
+    rows = s.uniform_rows(indices, size, tail)
+    assert rows.shape == (len(indices), size)
+    for i, row in zip(indices, rows):
+        ref = s.substream(i)
+        for entry in tail:
+            ref = ref.substream(entry)
+        np.testing.assert_array_equal(row, ref.uniform(size))
