@@ -199,9 +199,8 @@ def _cmd_check(args) -> int:
         unit_root=args.unit_root,
         normality=args.normality,
         alpha=args.alpha,
-        emit_plot_data=args.plot_data,
         seed=_stream_from_args(args),
-        out_dir=args.out,
+        plot_dir=args.out if args.plot_data else None,
         normality_options=_method_options(args, args.normality),
     )
     report = check(series, cfg, data_name=Path(args.file).stem)

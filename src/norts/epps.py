@@ -97,14 +97,11 @@ def _grid(g0: float) -> Lambda:
 
 def g_vector(x: float, lam: Lambda) -> np.ndarray:
     """Interleaved [cos(l1 x), sin(l1 x), ..., cos(lN x), sin(lN x)]."""
-    ang = np.asarray(lam.points) * float(x)
-    out = np.empty(2 * lam.size)
-    out[0::2] = np.cos(ang)
-    out[1::2] = np.sin(ang)
-    return out
+    return _g_matrix(np.array([float(x)]), lam)[0]
 
 
 def _g_matrix(values: np.ndarray, lam: Lambda) -> np.ndarray:
+    """:func:`g_vector` of each value, one row per value."""
     ang = np.outer(values, lam.points)
     out = np.empty((values.size, 2 * lam.size))
     out[:, 0::2] = np.cos(ang)

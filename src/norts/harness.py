@@ -9,7 +9,7 @@ the grid runner assigns every scenario a stream derived from its position
 in the canonical grid rather than from enumeration order.
 
 A worker simulates its chunk of trials as one matrix, in row blocks of a
-fixed size: one batched uniform draw (:meth:`RngStream.uniform_rows`, bit
+bounded size: one batched uniform draw (:meth:`RngStream.uniform_rows`, bit
 for bit the per-trial streams), one inverse-CDF call and one ARMA filter
 along the rows.  A method with a rows kernel (lobato) scores the whole
 block at once; any other method, and any row the kernel finds degenerate,
@@ -31,9 +31,9 @@ import numpy as np
 
 from .dist import InnovationLaw, _quantile
 from .errors import InvalidInputError, NortsError
-from .report import METHODS, NORMALITY_METHODS, test_dispatch
+from .report import METHODS, NORMALITY_METHODS, _check_alpha, test_dispatch
 from .rng import RngStream
-from .series import ArmaSpec, _arma_filter
+from .series import _arma_filter
 
 __all__ = [
     "ScenarioSpec",
@@ -57,9 +57,6 @@ TABLE_LAWS = (
 TABLE_PHIS = (-0.4, -0.25, 0.0, 0.25, 0.4)
 # Simulated points discarded before each trial's series.
 BURN_IN = 500
-# Elements of the simulated-path matrix a worker fills at a time: a
-# 200-trial cell at n = 100 is one block, and n = 10**4 takes 24 rows.
-_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,8 +74,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if not abs(self.phi) < 1:
             raise InvalidInputError(f"AR(1) coefficient must satisfy |phi| < 1, got {self.phi}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         if int(self.trials) < 1:
             raise InvalidInputError("trials must be positive")
         if int(self.n) < 10:
@@ -105,18 +101,14 @@ class ScenarioResult:
 
 def _trial_batch(args):
     spec, stream, indices, skip_failures = args
-    arma = ArmaSpec(ar=(spec.phi,) if spec.phi != 0.0 else (), innovation=spec.law)
+    ar = (spec.phi,) if spec.phi != 0.0 else ()
     # a rows kernel takes no options: test_dispatch rejects any it is given
     rows = None if spec.method_options else METHODS[spec.method].rows
-    length = BURN_IN + spec.n
-    block = max(1, _BLOCK_ELEMENTS // length)
     out = []
-    for start in range(0, len(indices), block):
-        trials = indices[start : start + block]
-        # trial j simulates from sub-stream (j, 0), as simulate_arma would
-        eps = _quantile(spec.law, stream.uniform_rows(trials, length, tail=(0,)))
-        paths = _arma_filter(arma, eps)[:, BURN_IN:]
-        del eps  # only the paths stay alive while they are scored
+    # trial j simulates from sub-stream (j, 0), as simulate_arma would
+    for trials, u in stream._uniform_blocks(indices, BURN_IN + spec.n, tail=(0,)):
+        paths = _arma_filter(_quantile(spec.law, u), ar)[:, BURN_IN:]
+        del u  # only the paths stay alive while they are scored
         pvalues = rows(paths) if rows is not None else np.full(len(trials), np.nan)
         for j, path, p in zip(trials, paths, pvalues.tolist()):
             if math.isnan(p):
@@ -135,6 +127,13 @@ def _trial_batch(args):
     return out
 
 
+def _check_workers(workers) -> int:
+    workers = int(workers)
+    if workers < 1:
+        raise InvalidInputError(f"workers must be positive, got {workers}")
+    return workers
+
+
 def run_scenario(
     spec: ScenarioSpec,
     rng: RngStream,
@@ -148,7 +147,7 @@ def run_scenario(
     and excluded from the denominator; if every trial failed, the first
     failure is re-raised all the same.
     """
-    workers = max(1, int(workers))
+    workers = _check_workers(workers)
     started = time.perf_counter()
     indices = list(range(spec.trials))
     if workers == 1:
@@ -230,6 +229,7 @@ def reproduce_tables(
     for mth in methods:
         if mth not in TABLE_METHODS:
             raise InvalidInputError(f"unknown method {mth!r}; expected one of {TABLE_METHODS}")
+    _check_workers(workers)
     method_options = dict(method_options or {})
     master = RngStream(seed)
     rows = []

@@ -117,15 +117,29 @@ def _auto_stream(rng: RngStream | None) -> tuple[RngStream, tuple[str, ...]]:
     return RngStream(seed), (f"seed: {seed} (auto-generated; pass it back to reproduce)",)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise InvalidInputError("alpha must lie in (0, 1)")
+
+
+def _stationary(method: str, p_value: float, alpha: float) -> bool:
+    """Whether the named pre-test speaks for stationarity at level ``alpha``.
+
+    adf's alternative is stationarity; kpss and lb have it (or no serial
+    correlation) as their null.
+    """
+    return (p_value < alpha) == (method == "adf")
+
+
 def _stationarity_note(s, alpha: float) -> tuple[str, ...]:
     # advisory only: a pre-check that cannot run becomes a note, not a failure
     if len(s) < 30:
         return ()
     try:
-        pre = adf_test(s, alpha=alpha)
+        pre = adf_test(s)
     except NortsError as exc:
         return (f"warning: augmented Dickey-Fuller pre-check failed: {exc}",)
-    if pre.conclusion == "non-stationary":
+    if not _stationary("adf", pre.p_value, alpha):
         return (
             "warning: augmented Dickey-Fuller does not reject a unit root "
             f"(p-value = {_fmt_p(pre.p_value)}); the series may be non-stationary",
@@ -149,10 +163,10 @@ def _table_edge_notes(r) -> tuple[str, ...]:
 class Method:
     """One row of :data:`METHODS`.
 
-    ``run(series, rng, alpha, **options)`` returns a result with a
-    ``p_value``; ``options`` names the keyword options it accepts.  The
-    report title is ``label``; ``statistics``, ``df`` and ``notes`` read the
-    result.  ``alternative`` is the alternative-hypothesis line, with
+    ``run(series, rng, **options)`` returns a result with a ``p_value``;
+    ``options`` names the keyword options it accepts.  The report title is
+    ``label``; ``statistics``, ``df`` and ``notes`` read the result.
+    ``alternative`` is the alternative-hypothesis line, with
     ``{name}`` standing for the data name.  Seeded methods draw from a
     stream; unit-root methods are the stationarity pre-tests.  ``rows``, if
     set, maps a 2-d array to the p-value ``run`` gives on each row with no
@@ -178,7 +192,7 @@ class Method:
 METHODS = {
     "lobato": Method(
         "Lobato and Velasco's test",
-        lambda s, rng, alpha: lobato_test(s),
+        lambda s, rng: lobato_test(s),
         lambda r: {"lobato": r.statistic},
         GAUSSIAN_ALTERNATIVE,
         df=lambda r: r.df,
@@ -186,7 +200,7 @@ METHODS = {
     ),
     "epps": Method(
         "Epps test",
-        lambda s, rng, alpha, lam=None: epps_test(s, _as_lambda(lam)),
+        lambda s, rng, lam=None: epps_test(s, _as_lambda(lam)),
         lambda r: {"epps": r.statistic},
         GAUSSIAN_ALTERNATIVE,
         options=("lam",),
@@ -195,7 +209,7 @@ METHODS = {
     ),
     "rp": Method(
         "k random projections test",
-        lambda s, rng, alpha, **options: rp_test(s, ProjectionConfig(seed=rng, **options)),
+        lambda s, rng, **options: rp_test(s, ProjectionConfig(seed=rng, **options)),
         lambda r: {"k": float(r.k), "lobato": r.avg_lobato, "epps": r.avg_epps},
         GAUSSIAN_ALTERNATIVE,
         options=("k", "pars1", "pars2"),
@@ -203,7 +217,7 @@ METHODS = {
     ),
     "vavra": Method(
         "Psaradakis-Vavra test",
-        lambda s, rng, alpha, **options: vavra_test(s, SieveConfig(seed=rng, **options)),
+        lambda s, rng, **options: vavra_test(s, SieveConfig(seed=rng, **options)),
         lambda r: {"A": r.ad_observed, "bootstrap mean": r.ad_bootstrap_mean},
         GAUSSIAN_ALTERNATIVE,
         options=("replications", "max_order", "bootstrap"),
@@ -211,7 +225,7 @@ METHODS = {
     ),
     "adf": Method(
         "Augmented Dickey-Fuller Test",
-        lambda s, rng, alpha: adf_test(s, alpha=alpha),
+        lambda s, rng: adf_test(s),
         lambda r: {"Dickey-Fuller": r.statistic, "Lag order": float(r.lag_order)},
         "stationary",
         notes=_table_edge_notes,
@@ -219,7 +233,7 @@ METHODS = {
     ),
     "kpss": Method(
         "KPSS Test for Level Stationarity",
-        lambda s, rng, alpha: kpss_test(s, alpha=alpha),
+        lambda s, rng: kpss_test(s),
         lambda r: {"KPSS Level": r.statistic, "Truncation lag": float(r.lag_order)},
         "non-stationary",
         notes=_table_edge_notes,
@@ -227,7 +241,7 @@ METHODS = {
     ),
     "lb": Method(
         "Ljung-Box",
-        lambda s, rng, alpha, lags=10: ljung_box(s, lags=int(lags), alpha=alpha),
+        lambda s, rng, lags=10: ljung_box(s, lags=int(lags)),
         lambda r: {"X-squared": r.statistic},
         "serial correlation present",
         options=("lags",),
@@ -251,12 +265,14 @@ def test_dispatch(
 ) -> TestReport:
     """Run the named test on the series and wrap it in a :class:`TestReport`.
 
-    Normality methods are preceded by an advisory ADF check: its warning,
-    or the reason it could not run, is attached to the report notes.  Seeded methods draw from ``rng``
-    when given and otherwise auto-seed from entropy, echoing the seed in
-    the notes for replay.  ``options`` go to the method's runner; an
-    option the method does not take is an input error.
+    Normality methods are preceded by an advisory ADF check at level
+    ``alpha``, which must lie in (0, 1): its warning, or the reason it could
+    not run, is attached to the report notes.  Seeded methods draw from
+    ``rng`` when given and otherwise auto-seed from entropy, echoing the
+    seed in the notes for replay.  ``options`` go to the method's runner;
+    an option the method does not take is an input error.
     """
+    _check_alpha(alpha)
     s = as_series(s)
     if method not in METHODS:
         raise InvalidInputError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
@@ -273,7 +289,7 @@ def test_dispatch(
     seed_note: tuple[str, ...] = ()
     if spec.seeded:
         rng, seed_note = _auto_stream(rng)
-    r = spec.run(s, rng, alpha, **options)
+    r = spec.run(s, rng, **options)
     return TestReport(
         method=spec.label,
         statistics=spec.statistics(r),
@@ -294,9 +310,8 @@ class CheckConfig:
     unit_root: str = "adf"
     normality: str = "rp"
     alpha: float = 0.05
-    emit_plot_data: bool = False
     seed: RngStream | None = None
-    out_dir: Path = Path(".")
+    plot_dir: Path | None = None
     normality_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -308,9 +323,9 @@ class CheckConfig:
             raise InvalidInputError(
                 f"unknown normality method {self.normality!r}; expected one of {NORMALITY_METHODS}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidInputError("alpha must lie in (0, 1)")
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
+        _check_alpha(self.alpha)
+        if self.plot_dir is not None:
+            object.__setattr__(self, "plot_dir", Path(self.plot_dir))
         object.__setattr__(self, "normality_options", dict(self.normality_options))
 
 
@@ -323,70 +338,54 @@ class CheckReport:
     verdict: str
 
 
-def _write_plot_data(s, cfg: CheckConfig) -> None:
+def _write_plot_data(s, out: Path) -> None:
     x = s.values
     n = len(s)
-    out = cfg.out_dir
-
-    def open_csv(name):
+    t = np.arange(1, n + 1)
+    counts, edges = np.histogram(x, bins="fd")
+    max_lag = min(int(np.floor(10.0 * np.log10(n))), n - 1)
+    gamma = autocovariances(s, max_lag)
+    # partial autocorrelations are the Levinson reflection coefficients
+    _, coeffs = _levinson(gamma, max_lag)
+    tables = {  # file name -> column name -> column
+        "residuals.csv": {"t": t, "value": x},
+        "hist.csv": {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts},
+        "qq.csv": {
+            "theoretical_quantile": normal_ppf((t - 0.5) / n),
+            "sample_quantile": np.sort(x),
+        },
+        "acf.csv": {
+            "lag": t[:max_lag],
+            "acf": gamma[1:] / gamma[0],
+            "pacf": [0.0 if c is None else c[-1] for c in coeffs[1:]],
+            "band": np.full(max_lag, 1.96 / np.sqrt(n)),
+        },
+    }
+    for name, columns in tables.items():
+        rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
         path = out / name
         try:
-            return open(path, "w", newline="")
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(columns)
+                # integer cells as they are, real ones to 10 significant digits
+                w.writerows([f"{v:.10g}" if isinstance(v, float) else v for v in r] for r in rows)
         except OSError as exc:
             raise InvalidInputError(f"cannot write plot data to {path}: {exc}") from exc
-
-    try:
-        with open_csv("residuals.csv") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "value"])
-            for t, v in enumerate(x, start=1):
-                w.writerow([t, f"{v:.10g}"])
-
-        counts, edges = np.histogram(x, bins="fd")
-        with open_csv("hist.csv") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_left", "bin_right", "count"])
-            for i, c in enumerate(counts):
-                w.writerow([f"{edges[i]:.10g}", f"{edges[i + 1]:.10g}", int(c)])
-
-        order = np.sort(x)
-        theo = normal_ppf((np.arange(1, n + 1) - 0.5) / n)
-        with open_csv("qq.csv") as fh:
-            w = csv.writer(fh)
-            w.writerow(["theoretical_quantile", "sample_quantile"])
-            for tq, sq in zip(theo, order):
-                w.writerow([f"{tq:.10g}", f"{sq:.10g}"])
-
-        max_lag = min(int(np.floor(10.0 * np.log10(n))), n - 1)
-        gamma = autocovariances(s, max_lag)
-        acf = gamma[1:] / gamma[0]
-        # partial autocorrelations are the Levinson reflection coefficients
-        _, coeffs = _levinson(gamma, max_lag)
-        pacf = [0.0 if c is None else c[-1] for c in coeffs[1:]]
-        band = 1.96 / np.sqrt(n)
-        with open_csv("acf.csv") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lag", "acf", "pacf", "band"])
-            for lag in range(1, max_lag + 1):
-                w.writerow([lag, f"{acf[lag - 1]:.10g}", f"{pacf[lag - 1]:.10g}", f"{band:.10g}"])
-    except OSError as exc:
-        raise InvalidInputError(f"cannot write plot data under {out}: {exc}") from exc
 
 
 def check(series, cfg: CheckConfig, data_name: str = "y") -> CheckReport:
     """Run the configured stationarity and normality tests on a residual
-    series and, when requested, write the four plot-data CSV files."""
+    series and, when ``cfg.plot_dir`` is set, write the four plot-data CSV
+    files there."""
     s = as_series(series)
-    stat_report = test_dispatch(cfg.unit_root, s, alpha=cfg.alpha, data_name=data_name)
-    # adf's alternative is stationarity; kpss and lb have it as their null
-    rejected = stat_report.p_value < cfg.alpha
-    stat_ok = rejected == (METHODS[cfg.unit_root].alternative == "stationary")
+    stat_report = test_dispatch(cfg.unit_root, s, data_name=data_name)
+    stat_ok = _stationary(cfg.unit_root, stat_report.p_value, cfg.alpha)
     stat_conclusion = f"{data_name} is {'stationary' if stat_ok else 'non-stationary'}"
 
     norm_report = test_dispatch(
         cfg.normality,
         s,
-        alpha=cfg.alpha,
         rng=cfg.seed,
         data_name=data_name,
         warn_stationarity=False,
@@ -399,8 +398,8 @@ def check(series, cfg: CheckConfig, data_name: str = "y") -> CheckReport:
         else f"{data_name} does not follow a Gaussian Process"
     )
 
-    if cfg.emit_plot_data:
-        _write_plot_data(s, cfg)
+    if cfg.plot_dir is not None:
+        _write_plot_data(s, cfg.plot_dir)
 
     if stat_ok and norm_ok:
         verdict = f"{data_name} behaves like a stationary Gaussian process"

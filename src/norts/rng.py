@@ -11,7 +11,8 @@ platform and distinct identities give statistically independent output.
 at once.  It derives their keys in one vectorized pass that reproduces
 numpy's ``SeedSequence`` hash, so the row of index ``i`` is bit for bit what
 ``substream(i).uniform`` returns, or ``substream(i).substream(0).uniform``
-with ``tail=(0,)``.
+with ``tail=(0,)``.  Callers that need many rows draw them in bounded
+blocks through ``_uniform_blocks``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from numpy.random import Generator, Philox, SeedSequence
 from .errors import InvalidInputError
 
 _UINT64_MAX = 2**64 - 1
+# Elements of the uniform matrix that _uniform_blocks draws at a time (8 MB):
+# a 200-trial cell at n = 100 is one block, 1000 vavra replicates at n = 1000
+# are two, and n = 10**4 takes about 100 rows.  A quarter of this cost vavra
+# up to 10 % more CPU: the heap grows and trims once per block, and every
+# block page-faults its temporaries afresh.
+_BLOCK_ELEMENTS = 1 << 20
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -178,6 +185,16 @@ class RngStream:
             bitgen.state = state
             gen.random(out=row)
         return np.maximum(out, np.finfo(float).tiny, out=out)
+
+    def _uniform_blocks(self, indices, size: int, tail: tuple[int, ...] = ()):
+        """:meth:`uniform_rows` of ``indices`` in consecutive row blocks of at
+        most ``_BLOCK_ELEMENTS`` elements (one row at least), as pairs
+        (indices of the block, its uniforms), so that a caller working
+        through the rows holds one block at a time."""
+        block = max(1, _BLOCK_ELEMENTS // size)
+        for start in range(0, len(indices), block):
+            rows = indices[start : start + block]
+            yield rows, self.uniform_rows(rows, size, tail)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"

@@ -186,32 +186,27 @@ def rp_test(s, cfg: ProjectionConfig) -> RpResult:
     n = len(s)
     half = cfg.k // 2
     per_projection = []
-    lobato_stats = []
-    epps_stats = []
-    pvalues = []
     for i in range(cfg.k):
         pars = cfg.pars1 if i < half else cfg.pars2
         position = (i % half) + 1
         rng = cfg.seed.substream(i)
         h = _draw_fitting_projection(pars, rng, n, i)
         projected = project_series(s, h)
+        label, test = ("lobato", lobato_test) if position % 2 == 1 else ("epps", epps_test)
         try:
-            if position % 2 == 1:
-                res = lobato_test(projected)
-                label, stat, p = "lobato", res.statistic, res.p_value
-                lobato_stats.append(res.statistic)
-            else:
-                res = epps_test(projected)
-                label, stat, p = "epps", res.statistic, res.p_value
-                epps_stats.append(res.statistic)
+            res = test(projected)
         except NortsError as exc:
             raise type(exc)(f"projection {i + 1}: {exc}") from exc
-        per_projection.append((label, float(stat), float(p)))
-        pvalues.append(p)
+        per_projection.append((label, float(res.statistic), float(res.p_value)))
+
+    def average(label: str) -> float:
+        stats = [stat for name, stat, _ in per_projection if name == label]
+        return float(np.mean(stats)) if stats else float("nan")
+
     return RpResult(
         k=cfg.k,
-        avg_lobato=float(np.mean(lobato_stats)) if lobato_stats else float("nan"),
-        avg_epps=float(np.mean(epps_stats)) if epps_stats else float("nan"),
-        p_value=fdr_combine(pvalues),
+        avg_lobato=average("lobato"),
+        avg_epps=average("epps"),
+        p_value=fdr_combine([p for *_, p in per_projection]),
         per_projection=tuple(per_projection),
     )

@@ -67,9 +67,11 @@ def as_series(data) -> Series:
     return Series(np.asarray(data, dtype=float))
 
 
-def require_test_length(s: Series, minimum: int = MIN_TEST_LENGTH) -> None:
-    if len(s) < minimum:
-        raise InvalidInputError(f"test requires at least {minimum} observations, got {len(s)}")
+def require_test_length(s: Series) -> None:
+    if len(s) < MIN_TEST_LENGTH:
+        raise InvalidInputError(
+            f"test requires at least {MIN_TEST_LENGTH} observations, got {len(s)}"
+        )
 
 
 def read_series_csv(path) -> Series:
@@ -177,14 +179,15 @@ def simulate_arma(spec: ArmaSpec, n: int, burn_in: int, rng: RngStream) -> Serie
         raise InvalidInputError("series length must be positive")
     if burn_in < 0:
         raise InvalidInputError("burn-in must be non-negative")
-    x = _arma_filter(spec, sample(spec.innovation, rng, size=burn_in + n))
+    x = _arma_filter(sample(spec.innovation, rng, size=burn_in + n), spec.ar, spec.ma)
     return Series(x[burn_in:])
 
 
-def _arma_filter(spec: ArmaSpec, eps: np.ndarray) -> np.ndarray:
-    """The ARMA recursion from zero state along the last axis of ``eps``."""
-    b = np.concatenate(([1.0], spec.ma))
-    a = np.concatenate(([1.0], [-c for c in spec.ar]))
+def _arma_filter(eps: np.ndarray, ar=(), ma=()) -> np.ndarray:
+    """The recursion X_t = sum(ar_i X_{t-i}) + eps_t + sum(ma_j eps_{t-j})
+    from zero state along the last axis of ``eps``."""
+    b = np.concatenate(([1.0], ma))
+    a = np.concatenate(([1.0], np.negative(ar)))
     return lfilter(b, a, eps, axis=-1)
 
 

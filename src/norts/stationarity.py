@@ -22,16 +22,15 @@ __all__ = ["UnitRootReport", "ljung_box", "adf_test", "kpss_test"]
 
 @dataclass(frozen=True)
 class UnitRootReport:
-    """Stationarity-check outcome; ``conclusion`` restates the p-value
-    versus alpha decision for the test's own null hypothesis."""
+    """Stationarity-check outcome: the statistic, its lag order (the
+    truncation lag for KPSS), the p-value and whether that p-value was
+    clamped at a critical-value table edge.  Deciding at a level is left to
+    the caller."""
 
-    method: str
     statistic: float
     lag_order: int
     p_value: float
     bounded: bool
-    conclusion: str
-    alpha: float = 0.05
 
 
 def _load_tables() -> dict:
@@ -42,7 +41,7 @@ def _load_tables() -> dict:
 _TABLES = _load_tables()
 
 
-def ljung_box(s, lags: int = 10, alpha: float = 0.05) -> UnitRootReport:
+def ljung_box(s, lags: int = 10) -> UnitRootReport:
     """Portmanteau test of the first ``lags`` autocorrelations being zero."""
     s = as_series(s)
     lags = int(lags)
@@ -56,15 +55,8 @@ def ljung_box(s, lags: int = 10, alpha: float = 0.05) -> UnitRootReport:
         raise InvalidInputError("series has zero variance")
     rho = gamma[1:] / gamma[0]
     q = n * (n + 2.0) * np.sum(rho**2 / (n - np.arange(1, lags + 1)))
-    p = chi2_sf(q, lags)
     return UnitRootReport(
-        method="Ljung-Box",
-        statistic=float(q),
-        lag_order=lags,
-        p_value=float(p),
-        bounded=False,
-        conclusion="stationary" if p >= alpha else "non-stationary",
-        alpha=alpha,
+        statistic=float(q), lag_order=lags, p_value=float(chi2_sf(q, lags)), bounded=False
     )
 
 
@@ -75,7 +67,7 @@ def _interp_bounded(stat: float, cvs, probs) -> tuple[float, bool]:
     return float(np.interp(stat, cvs, probs)), bool(bounded)
 
 
-def adf_test(s, alpha: float = 0.05) -> UnitRootReport:
+def adf_test(s) -> UnitRootReport:
     """Augmented Dickey-Fuller unit-root test, trend-included variant.
 
     Regresses the first difference on an intercept, a linear trend, the
@@ -114,18 +106,10 @@ def adf_test(s, alpha: float = 0.05) -> UnitRootReport:
     grid = np.asarray(table["statistics"], dtype=float)
     cvs = [float(np.interp(n, sizes, grid[:, j])) for j in range(grid.shape[1])]
     p, bounded = _interp_bounded(stat, cvs, table["probabilities"])
-    return UnitRootReport(
-        method="Augmented Dickey-Fuller Test",
-        statistic=stat,
-        lag_order=k,
-        p_value=p,
-        bounded=bounded,
-        conclusion="stationary" if p < alpha else "non-stationary",
-        alpha=alpha,
-    )
+    return UnitRootReport(statistic=stat, lag_order=k, p_value=p, bounded=bounded)
 
 
-def kpss_test(s, alpha: float = 0.05) -> UnitRootReport:
+def kpss_test(s) -> UnitRootReport:
     """KPSS level-stationarity test (null hypothesis: stationary).
 
     The numerator uses partial sums of the demeaned data; the denominator
@@ -152,12 +136,4 @@ def kpss_test(s, alpha: float = 0.05) -> UnitRootReport:
 
     table = _TABLES["kpss_level"]
     p, bounded = _interp_bounded(stat, table["statistics"], table["probabilities"])
-    return UnitRootReport(
-        method="KPSS Test for Level Stationarity",
-        statistic=stat,
-        lag_order=lag,
-        p_value=p,
-        bounded=bounded,
-        conclusion="non-stationary" if p < alpha else "stationary",
-        alpha=alpha,
-    )
+    return UnitRootReport(statistic=stat, lag_order=lag, p_value=p, bounded=bounded)

@@ -14,13 +14,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtri
 
 from .dist import normal_logcdf, normal_logsf
 from .errors import InvalidInputError, NumericDegeneracyError
 from .rng import RngStream
-from .series import as_series, autocovariances, require_test_length
+from .series import _arma_filter, as_series, autocovariances, require_test_length
 
 __all__ = [
     "SieveConfig",
@@ -181,16 +180,16 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
     """Sieve-bootstrap Anderson-Darling normality test.
 
     Replicate r draws its innovations from sub-stream r of the configured
-    seed; all replicates come from one batched draw that equals those
-    sub-streams bit for bit, so the result does not depend on how the work
-    is split.  A degenerate replicate is redrawn up to 10 times from the
+    seed; the replicates are drawn, filtered and scored in row blocks of
+    bounded size, each a batched draw that equals those sub-streams bit for
+    bit, so the result does not depend on how the work is split.  A
+    degenerate replicate is redrawn up to 10 times from the
     continuation of its own sub-stream (the uniforms after the ones the
     batch used) and dropped from the count thereafter.
     """
     s = as_series(s)
-    require_test_length(s)
-    n = len(s)
     ad_obs = anderson_darling(s)
+    n = len(s)
     max_order = cfg.max_order if cfg.max_order is not None else default_max_order(n)
     order, phi, resid = fit_ar_sieve(s, max_order)
     sigma_e = float(np.sqrt(np.mean(resid**2)))
@@ -198,7 +197,6 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
         raise NumericDegeneracyError("sieve residuals have zero variance")
 
     total_len = _BURN_IN + n
-    a_coef = np.concatenate(([1.0], -phi))
 
     def innovations(u: np.ndarray) -> np.ndarray:
         """Innovations from uniforms of any shape; overwrites ``u``."""
@@ -209,15 +207,16 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
         idx = np.minimum((u * resid.size).astype(np.int64), resid.size - 1)
         return resid[idx]
 
-    innov = innovations(cfg.seed.uniform_rows(range(cfg.replications), total_len))
-    paths = lfilter([1.0], a_coef, innov, axis=1)[:, _BURN_IN:]
-    stats = _ad_rows(paths)
+    blocks = cfg.seed._uniform_blocks(range(cfg.replications), total_len)
+    stats = np.concatenate(
+        [_ad_rows(_arma_filter(innovations(u), phi)[:, _BURN_IN:]) for _, u in blocks]
+    )
 
     for r in np.flatnonzero(np.isnan(stats)):
         rng = cfg.seed.substream(r)
         rng.uniform(total_len)  # the draws the batch already used
         for _ in range(_REDRAW_ATTEMPTS):
-            path = lfilter([1.0], a_coef, innovations(rng.uniform(total_len)))[_BURN_IN:]
+            path = _arma_filter(innovations(rng.uniform(total_len)), phi)[_BURN_IN:]
             redone = _ad_rows(path[None, :])[0]
             if np.isfinite(redone):
                 stats[r] = redone

@@ -78,6 +78,25 @@ class TestExitCodes:
         assert main(["test", "--method", "adf", str(p)]) == 3
         assert "at least 30" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["lobato", "adf"])
+    @pytest.mark.parametrize("alpha", ["-1", "nan"])
+    def test_alpha_outside_unit_interval_is_3(self, method, alpha, gaussian_csv, capsys):
+        assert main(["test", "--method", method, f"--alpha={alpha}", str(gaussian_csv)]) == 3
+        captured = capsys.readouterr()
+        assert "alpha must lie in (0, 1)" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_3(self, workers, tmp_path, capsys):
+        out = tmp_path / "w.csv"
+        assert main([
+            "simulate", "--methods", "lobato", "--n", "100", "--m", "5", "--phis", "0",
+            "--laws", "normal", "--seed", "1", f"--workers={workers}", "--quiet",
+            "--out", str(out),
+        ]) == 3
+        assert "workers must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_degeneracy_is_4(self, tmp_path, capsys):
         x = 1e-110 * RngStream(3)._generator().standard_normal(20)
         p = tmp_path / "tiny.csv"

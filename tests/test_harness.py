@@ -16,6 +16,7 @@ from norts import (
     run_scenario,
     simulate_arma,
 )
+import norts.rng as rng_module
 from norts import harness, report, series
 from norts.cli import main
 
@@ -68,7 +69,7 @@ class TestRunScenario:
             run_scenario(spec, RngStream(2105))
 
     def test_failure_keeps_its_error_class(self, monkeypatch, tmp_path, capsys):
-        def degenerate(s, rng, alpha):
+        def degenerate(s, rng):
             raise NumericDegeneracyError("forced breakdown")
 
         # the rows kernel defers every trial of the chunk to the runner, which fails
@@ -91,8 +92,8 @@ class TestRunScenario:
             assert "numeric degeneracy" in capsys.readouterr().err
 
     def test_degenerate_rows_defer_to_lobato_test(self, monkeypatch):
-        def filtered(arma, eps):
-            x = series._arma_filter(arma, eps)
+        def filtered(eps, ar):
+            x = series._arma_filter(eps, ar)
             x[1] = 1.0  # zero variance
             x[3] *= 1e-110  # studentization sums underflow to zero
             return x
@@ -123,6 +124,12 @@ class TestRunScenario:
         )
         with pytest.raises(InvalidInputError, match="all trials"):
             run_scenario(spec, RngStream(2105), skip_failures=True)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        spec = ScenarioSpec(phi=0.0, law=InnovationLaw.normal(), n=100, method="lobato", trials=3)
+        with pytest.raises(InvalidInputError, match="workers must be positive"):
+            run_scenario(spec, RngStream(2109), workers=workers)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):
@@ -223,7 +230,7 @@ def per_trial(spec, stream, j):
 def chunked(spec, stream, chunk, block_rows, monkeypatch):
     """Every trial's p-value (or error) from chunks of ``chunk`` trials, each
     simulated in row blocks of ``block_rows``."""
-    monkeypatch.setattr(harness, "_BLOCK_ELEMENTS", block_rows * (harness.BURN_IN + spec.n))
+    monkeypatch.setattr(rng_module, "_BLOCK_ELEMENTS", block_rows * (harness.BURN_IN + spec.n))
     indices = list(range(spec.trials))
     out = {}
     for i in range(0, spec.trials, chunk):

@@ -169,6 +169,16 @@ class TestCheck:
         assert rep.stationarity_conclusion == "y is non-stationary"
         assert "non-stationary" in rep.verdict
 
+    @pytest.mark.parametrize("unit_root", ["adf", "kpss", "lb"])
+    def test_each_pre_test_decides_for_its_own_null(self, unit_root):
+        # adf rejects a unit root, while kpss and lb keep their null, on
+        # white noise; a random walk reverses each decision
+        noise = simulate_arma(ArmaSpec(), 400, 0, RngStream(4411))
+        walk = Series(np.cumsum(np.asarray(noise.values)))
+        for s, expected in ((noise, "y is stationary"), (walk, "y is non-stationary")):
+            cfg = CheckConfig(unit_root=unit_root, normality="lobato", seed=RngStream(9))
+            assert check(s, cfg, data_name="y").stationarity_conclusion == expected
+
     def test_check_json_round_trip(self):
         s = simulate_arma(ArmaSpec(), 400, 0, RngStream(4403))
         cfg = CheckConfig(normality="lobato", seed=RngStream(10))
@@ -188,9 +198,7 @@ class TestCheck:
     def test_plot_data_contracts(self, tmp_path):
         n = 500
         s = simulate_arma(ArmaSpec(), n, 0, RngStream(4406))
-        cfg = CheckConfig(
-            normality="lobato", seed=RngStream(13), emit_plot_data=True, out_dir=tmp_path
-        )
+        cfg = CheckConfig(normality="lobato", seed=RngStream(13), plot_dir=tmp_path)
         check(s, cfg, data_name="y")
         residuals = (tmp_path / "residuals.csv").read_text().strip().splitlines()
         assert residuals[0] == "t,value"
@@ -209,8 +217,6 @@ class TestCheck:
     def test_plot_data_unwritable_dir_reports_path(self, tmp_path):
         target = tmp_path / "missing" / "deeper"
         s = simulate_arma(ArmaSpec(), 100, 0, RngStream(4407))
-        cfg = CheckConfig(
-            normality="lobato", seed=RngStream(14), emit_plot_data=True, out_dir=target
-        )
-        with pytest.raises(InvalidInputError, match="cannot write"):
+        cfg = CheckConfig(normality="lobato", seed=RngStream(14), plot_dir=target)
+        with pytest.raises(InvalidInputError, match="cannot write plot data to .*residuals.csv"):
             check(s, cfg)

@@ -36,7 +36,6 @@ class TestLjungBox:
         r = ljung_box(x, lags=5)
         assert r.statistic == pytest.approx(ljung_box_oracle(x, 5), rel=1e-10)
         assert r.lag_order == 5
-        assert r.method == "Ljung-Box"
 
     def test_oracle_on_fixture(self, s20):
         r = ljung_box(s20, lags=6)
@@ -99,11 +98,11 @@ class TestAdf:
 
     def test_conclusions_and_bounds(self):
         stationary = adf_test(_gaussian(400, 1302))
-        assert stationary.conclusion == "stationary"
+        assert stationary.p_value < 0.05  # rejects a unit root
         assert stationary.statistic < -3.4
         w = Series(np.cumsum(_gaussian(400, 1303)))
         drifting = adf_test(w)
-        assert drifting.conclusion == "non-stationary"
+        assert drifting.p_value >= 0.05
         assert 0.01 <= drifting.p_value <= 0.99
 
     def test_short_series_rejected(self, s20):
@@ -138,9 +137,9 @@ class TestKpss:
 
     def test_conclusion_reversed_null(self):
         r = kpss_test(_gaussian(400, 1305))
-        assert r.conclusion == "stationary"
+        assert r.p_value >= 0.05  # keeps its null of stationarity
         w = kpss_test(Series(np.cumsum(_gaussian(400, 1306))))
-        assert w.conclusion == "non-stationary"
+        assert w.p_value < 0.05
 
     def test_constant_rejected(self):
         with pytest.raises(InvalidInputError):

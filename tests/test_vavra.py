@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.signal import lfilter
 from scipy.special import ndtr, ndtri
 
+import norts.rng as rng_module
 import norts.vavra as vavra_module
 
 from norts import (
@@ -213,6 +214,17 @@ class TestVavraTest:
             innov = resid[np.minimum((u * resid.size).astype(np.int64), resid.size - 1)]
         expected = lfilter([1.0], np.r_[1.0, -phi], innov)[100:]
         np.testing.assert_array_equal(redraws[0], expected)
+
+    @pytest.mark.parametrize("bootstrap", ["normal", "residuals"])
+    def test_row_blocks_equal_one_block(self, monkeypatch, bootstrap):
+        # replicates drawn, filtered and scored a few rows at a time give
+        # the statistics of a single block, bit for bit
+        s = simulate_arma(ArmaSpec(ar=(0.4,)), 120, 100, RngStream(56))
+        cfg = SieveConfig(seed=RngStream(57), replications=150, bootstrap=bootstrap)
+        whole = vavra_test(s, cfg)
+        for rows in (1, 7):
+            monkeypatch.setattr(rng_module, "_BLOCK_ELEMENTS", rows * (100 + len(s)))
+            assert vavra_test(s, cfg) == whole
 
     def test_no_per_replicate_generators(self, monkeypatch):
         # The bootstrap draws all replicates in one batch; building a
