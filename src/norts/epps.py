@@ -19,7 +19,7 @@ import numpy as np
 
 from .dist import chi2_sf
 from .errors import InvalidInputError, NumericDegeneracyError
-from .series import as_series, require_test_length
+from .series import _long_enough, _normalized, as_series
 
 __all__ = [
     "Lambda",
@@ -67,7 +67,11 @@ class Lambda:
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Normal-law parameters (mean, variance) with variance > 0."""
+    """Normal-law parameters (mean, variance) with variance >= 0.
+
+    A fitted variance reads 0 or inf where it lies outside the double range,
+    as for a series whose standard deviation is below 1e-154 or above 1e154.
+    """
 
     mu: float
     sigma2: float
@@ -75,8 +79,8 @@ class ThetaParams:
     def __post_init__(self):
         if not np.isfinite(self.mu):
             raise InvalidInputError("mu must be finite")
-        if not np.isfinite(self.sigma2) or self.sigma2 <= 0:
-            raise InvalidInputError("sigma2 must be finite and strictly positive")
+        if not self.sigma2 >= 0:
+            raise InvalidInputError("sigma2 must be non-negative")
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
@@ -147,8 +151,7 @@ def spectral_zero(s, lam: Lambda) -> np.ndarray:
     to lag-i cross-products of per-observation deviations from the sample
     moment vector; the result is symmetrized.
     """
-    s = as_series(s)
-    require_test_length(s)
+    s = _long_enough(s)
     d = _g_matrix(s.values, lam)
     d -= d.mean(axis=0)
     return _long_run(d)
@@ -301,24 +304,25 @@ def epps_test(s, lam: Lambda | None = None) -> EppsResult:
     holds; the statistic is then n times the lowest form found, and the
     p-value is still reported.
     """
-    s = as_series(s)
-    require_test_length(s)
-    n = len(s)
-    mu = float(np.mean(s.values))
-    d = s.values - mu
+    x, scale = _normalized(s)
+    n = x.size
+    mu = float(np.mean(x))
+    d = x - mu
     g0 = float(np.mean(d * d))
-    if g0 <= 0.0:
-        raise InvalidInputError("series has zero variance")
     if lam is None:
         lam = _grid(g0)
-    if lam.size > MAX_GRID_SIZE:
+    elif lam.size > MAX_GRID_SIZE:
         raise InvalidInputError(
             f"frequency grids larger than {MAX_GRID_SIZE} points are not supported"
         )
+    else:
+        # the data are scaled by 2**-scale: scale the frequencies inversely,
+        # so every product of a frequency and an observation is unchanged
+        lam = Lambda(np.ldexp(lam.points, scale))
 
     # one matrix of moment terms gives both the sample moments and, once
     # centred, their long-run covariance
-    terms = _g_matrix(s.values, lam)
+    terms = _g_matrix(x, lam)
     ghat = terms.mean(axis=0)
     terms -= ghat
     weight, rank = _pinv(_long_run(terms))
@@ -330,10 +334,12 @@ def epps_test(s, lam: Lambda | None = None) -> EppsResult:
     mu_hat, sigma2_hat, q, converged = _minimize_qn(ghat, weight, mu, g0, np.asarray(lam.points))
     stat = max(0.0, n * q)
     df = rank - 2
+    with np.errstate(over="ignore"):
+        theta_hat = ThetaParams(np.ldexp(mu_hat, scale), np.ldexp(sigma2_hat, 2 * scale))
     return EppsResult(
         statistic=stat,
         df=df,
         p_value=chi2_sf(stat, df),
-        theta_hat=ThetaParams(mu_hat, sigma2_hat),
+        theta_hat=theta_hat,
         converged=converged,
     )

@@ -22,6 +22,7 @@ blocks rather than a time measured per trial.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -219,53 +220,47 @@ def reproduce_tables(
     """Run the full rejection-rate grid, stream it to a CSV file and return
     its rows in the order they ran.
 
-    Rows are written and flushed scenario by scenario, so an interrupted
-    run leaves every completed cell on disk.  ``method_options`` maps a
-    method name to keyword options for its config (e.g. ``{"rp": {"k":
-    10}}``).  The per-trial timing column is optional because wall times
-    are not reproducible across runs.
+    Every scenario is validated before any runs, and ``out`` is opened only
+    once the first scenario has its result, so a run that fails before then
+    leaves an existing file as it was.  Rows are then written and flushed
+    scenario by scenario, so an interrupted run leaves every completed cell
+    on disk.  ``method_options`` maps a method name to keyword options for
+    its config (e.g. ``{"rp": {"k": 10}}``).  The per-trial timing column is
+    optional because wall times are not reproducible across runs.
     """
-    methods = list(methods)
-    for mth in methods:
-        if mth not in TABLE_METHODS:
-            raise InvalidInputError(f"unknown method {mth!r}; expected one of {TABLE_METHODS}")
-    _check_workers(workers)
+    workers = _check_workers(workers)
     method_options = dict(method_options or {})
     master = RngStream(seed)
+    # (spec, stream) of every cell, in grid order; each spec validates its
+    # method before the method's index selects the stream
+    cells = [
+        (
+            ScenarioSpec(phi=phi, law=law, n=n, method=mth, trials=m, alpha=alpha,
+                         method_options=method_options.get(mth, {})),
+            master.substream(TABLE_METHODS.index(mth)).substream(li).substream(pi).substream(n),
+        )
+        for mth in methods
+        for li, law in enumerate(laws)
+        for pi, phi in enumerate(phis)
+        for n in ns
+    ]
+
+    def run_cells():
+        for spec, stream in cells:
+            r = run_scenario(spec, stream, workers=workers, skip_failures=skip_failures)
+            yield TableRow(spec.method, spec.law.label, spec.phi, spec.n, r.rate, r.trials_used,
+                           r.seconds_per_trial)
+
+    pending = run_cells()
+    first = list(itertools.islice(pending, 1))  # runs before out is opened
     rows = []
-    header = _CSV_FIELDS + (("seconds_per_trial",) if timing else ())
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        fh.flush()
-        for mth in methods:
-            mi = TABLE_METHODS.index(mth)
-            for li, law in enumerate(laws):
-                for pi, phi in enumerate(phis):
-                    for n in ns:
-                        spec = ScenarioSpec(
-                            phi=phi,
-                            law=law,
-                            n=n,
-                            method=mth,
-                            method_options=method_options.get(mth, {}),
-                            trials=m,
-                            alpha=alpha,
-                        )
-                        stream = master.substream(mi).substream(li).substream(pi).substream(n)
-                        result = run_scenario(spec, stream, workers=workers, skip_failures=skip_failures)
-                        row = TableRow(
-                            method=mth,
-                            law=law.label,
-                            phi=float(phi),
-                            n=int(n),
-                            rate=result.rate,
-                            trials=result.trials_used,
-                            seconds_per_trial=result.seconds_per_trial,
-                        )
-                        rows.append(row)
-                        writer.writerow(_format_row(row, timing))
-                        fh.flush()
-                        if progress is not None:
-                            progress(row)
+        writer.writerow(_CSV_FIELDS + (("seconds_per_trial",) if timing else ()))
+        for row in itertools.chain(first, pending):
+            rows.append(row)
+            writer.writerow(_format_row(row, timing))
+            fh.flush()
+            if progress is not None:
+                progress(row)
     return rows

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dist import chi2_sf
 from .errors import InvalidInputError, NumericDegeneracyError
-from .series import _full_autocovariances, as_series, autocovariances, require_test_length
+from .series import _full_autocovariances, _long_enough, _normalized, _spread_exponents, autocovariances
 
 __all__ = ["LobatoResult", "fk_hat", "lobato_test"]
 
@@ -48,11 +48,10 @@ def fk_hat(s, k: int) -> float:
     reading the out-of-range index gamma(n) as zero, so the t = 0 term is
     gamma(0)^k.
     """
-    s = as_series(s)
+    s = _long_enough(s)
     k = int(k)
     if k not in (3, 4):
         raise InvalidInputError(f"moment order must be 3 or 4, got {k}")
-    require_test_length(s)
     return float(_fk(autocovariances(s)[None, :], k)[0])
 
 
@@ -60,23 +59,29 @@ _DEGENERATE = (math.nan,) * 3
 
 
 def _lobato_rows(x: np.ndarray) -> np.ndarray:
-    """lobato_test on each row of a 2-d array, as columns (mu2, F3, F4,
-    skewness term, kurtosis term, p-value).
+    """lobato_test on each row of a 2-d array, as columns (F3, F4, skewness
+    term, kurtosis term, p-value).
 
-    The last three read NaN on a row where :func:`lobato_test` raises: zero
+    Each row is first scaled as the input gate scales a series.  The last
+    three columns read NaN on a row where :func:`lobato_test` raises: zero
     variance, a non-positive studentization sum or a statistic that is not
     finite.
     """
-    n = x.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        d = x - x.mean(axis=1, keepdims=True)
-        mu2, mu3, mu4 = (np.mean(d**k, axis=1) for k in (2, 3, 4))
-        # one autocovariance sequence per row serves both studentization sums
-        g = np.array([_full_autocovariances(row) for row in d])
-        f3, f4 = _fk(g, 3), _fk(g, 4)
-        columns = (mu2.tolist(), mu3.tolist(), mu4.tolist(), f3.tolist(), f4.tolist())
-        terms = [_terms(n, *row) for row in zip(*columns)]
-    return np.column_stack([mu2, f3, f4, np.reshape(terms, (-1, 3))])
+        return _unit_rows(np.ldexp(x, -_spread_exponents(x)[1][:, None]))
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """:func:`_lobato_rows` of rows already at unit spread."""
+    n = x.shape[1]
+    d = x - x.mean(axis=1, keepdims=True)
+    mu2, mu3, mu4 = (np.mean(d**k, axis=1) for k in (2, 3, 4))
+    # one autocovariance sequence per row serves both studentization sums
+    g = np.array([_full_autocovariances(row) for row in d])
+    f3, f4 = _fk(g, 3), _fk(g, 4)
+    columns = (mu2.tolist(), mu3.tolist(), mu4.tolist(), f3.tolist(), f4.tolist())
+    terms = [_terms(n, *row) for row in zip(*columns)]
+    return np.column_stack([f3, f4, np.reshape(terms, (-1, 3))])
 
 
 def _terms(n: int, mu2: float, mu3: float, mu4: float, f3: float, f4: float):
@@ -85,11 +90,8 @@ def _terms(n: int, mu2: float, mu3: float, mu4: float, f3: float, f4: float):
     bit); NaN where :func:`lobato_test` raises."""
     if mu2 <= 0.0 or f3 <= 0.0 or f4 <= 0.0:
         return _DEGENERATE
-    try:
-        skew_term = n * mu3**2 / (6.0 * f3)
-        kurt_term = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
-    except OverflowError:
-        return _DEGENERATE
+    skew_term = n * mu3**2 / (6.0 * f3)
+    kurt_term = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
     stat = skew_term + kurt_term
     return (skew_term, kurt_term, chi2_sf(stat, 2)) if math.isfinite(stat) else _DEGENERATE
 
@@ -104,22 +106,18 @@ def lobato_test(s) -> LobatoResult:
     NumericDegeneracyError
         If a studentization sum comes out non-positive (possible in small
         samples); the sign is surfaced rather than clamped because a silent
-        fix would corrupt the chi-square calibration.  Also if the moments
-        overflow double precision, so the statistic is not finite.
+        fix would corrupt the chi-square calibration.  The series is first
+        scaled to unit spread by an exact power of two, so the moments
+        cannot overflow or underflow at any scale of the data.
     """
-    s = as_series(s)
-    require_test_length(s)
-    mu2, f3, f4, skew_term, kurt_term, p = _lobato_rows(s.values[None, :])[0].tolist()
-    if mu2 <= 0.0:
-        raise InvalidInputError("series has zero variance")
+    x, _ = _normalized(s)
+    f3, f4, skew_term, kurt_term, p = _unit_rows(x[None, :])[0].tolist()
     if f3 <= 0.0 or f4 <= 0.0:
         raise NumericDegeneracyError(
             f"non-positive studentization sum (F3={f3:.6g}, F4={f4:.6g})"
         )
     if math.isnan(p):
-        raise NumericDegeneracyError(
-            "the moments overflow double precision; rescale the series"
-        )
+        raise NumericDegeneracyError("the statistic is not finite")
     return LobatoResult(
         statistic=skew_term + kurt_term,
         df=2,

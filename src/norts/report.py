@@ -21,7 +21,7 @@ import csv
 import json
 import secrets
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .lobato import _lobato_rows, lobato_test
 from .rng import RngStream
 from .rp import ProjectionConfig, rp_test
 from .series import as_series, autocovariances
-from .stationarity import adf_test, kpss_test, ljung_box
+from .stationarity import MIN_UNIT_ROOT_LENGTH, adf_test, kpss_test, ljung_box
 from .vavra import SieveConfig, _levinson, vavra_test
 
 __all__ = [
@@ -94,20 +94,8 @@ def render_text(report: TestReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_to_dict(report: TestReport) -> dict:
-    return {
-        "method": report.method,
-        "statistics": dict(report.statistics),
-        "p_value": report.p_value,
-        "df": report.df,
-        "alternative": report.alternative,
-        "data_name": report.data_name,
-        "notes": list(report.notes),
-    }
-
-
 def render_json(report: TestReport) -> str:
-    return json.dumps(_report_to_dict(report), indent=2)
+    return json.dumps(asdict(report), indent=2)
 
 
 def _auto_stream(rng: RngStream | None) -> tuple[RngStream, tuple[str, ...]]:
@@ -133,7 +121,7 @@ def _stationary(method: str, p_value: float, alpha: float) -> bool:
 
 def _stationarity_note(s, alpha: float) -> tuple[str, ...]:
     # advisory only: a pre-check that cannot run becomes a note, not a failure
-    if len(s) < 30:
+    if len(s) < MIN_UNIT_ROOT_LENGTH:
         return ()
     try:
         pre = adf_test(s)
@@ -446,12 +434,5 @@ def render_check_text(report: CheckReport) -> str:
 
 
 def render_check_json(report: CheckReport) -> str:
-    payload = {
-        "stationarity": _report_to_dict(report.stationarity),
-        "stationarity_conclusion": report.stationarity_conclusion,
-        "normality": _report_to_dict(report.normality),
-        "normality_conclusion": report.normality_conclusion,
-        "verdict": report.verdict,
-    }
-    return json.dumps(payload, indent=2)
+    return json.dumps(asdict(report), indent=2)
 

@@ -18,7 +18,7 @@ from .epps import epps_test
 from .errors import InvalidInputError, NortsError, NumericDegeneracyError
 from .lobato import lobato_test
 from .rng import RngStream
-from .series import MIN_TEST_LENGTH, Series, as_series, require_test_length
+from .series import MIN_TEST_LENGTH, Series, _normalized, as_series
 
 __all__ = [
     "ProjectionConfig",
@@ -181,8 +181,7 @@ def rp_test(s, cfg: ProjectionConfig) -> RpResult:
     sub-stream ``i`` of the configured seed, so results are reproducible
     at any degree of parallelism.
     """
-    s = as_series(s)
-    require_test_length(s)
+    s = Series(_normalized(s)[0])
     n = len(s)
     half = cfg.k // 2
     per_projection = []

@@ -67,11 +67,39 @@ def as_series(data) -> Series:
     return Series(np.asarray(data, dtype=float))
 
 
-def require_test_length(s: Series) -> None:
-    if len(s) < MIN_TEST_LENGTH:
-        raise InvalidInputError(
-            f"test requires at least {MIN_TEST_LENGTH} observations, got {len(s)}"
-        )
+def _long_enough(s, minimum: int = MIN_TEST_LENGTH) -> Series:
+    """Coerce ``s`` and enforce a test's minimum length."""
+    s = as_series(s)
+    if len(s) < minimum:
+        raise InvalidInputError(f"test requires at least {minimum} observations, got {len(s)}")
+    return s
+
+
+def _spread_exponents(x: np.ndarray):
+    """Half the spread of ``x`` along its last axis, and the binary exponent
+    k of each half spread: 2**-k * x spans [1, 2).  Halving before the
+    subtraction keeps the spread from overflowing."""
+    half = x.max(axis=-1) / 2 - x.min(axis=-1) / 2
+    return half, np.frexp(half)[1]
+
+
+def _normalized(s, minimum: int = MIN_TEST_LENGTH) -> tuple[np.ndarray, int]:
+    """The input gate of every test: the values of ``s`` times 2**-k, with k
+    chosen so that they span [1, 2), and k.
+
+    Multiplying by a power of two changes only exponents, so it is exact
+    (short of values some 2**1021 times smaller than the spread, which round
+    to subnormal numbers), and every test statistic is scale-invariant: the
+    tests run at unit scale whatever the scale of the data, and inputs that
+    differ by a power-of-two factor give bit-identical results.  Raises
+    :class:`InvalidInputError` for a series shorter than ``minimum`` or with
+    zero variance.
+    """
+    x = _long_enough(s, minimum).values
+    half, k = _spread_exponents(x)
+    if half == 0.0:
+        raise InvalidInputError("series has zero variance")
+    return np.ldexp(x, -k), int(k)
 
 
 def read_series_csv(path) -> Series:

@@ -15,9 +15,12 @@ import numpy as np
 
 from .dist import chi2_sf
 from .errors import InvalidInputError, NumericDegeneracyError
-from .series import as_series, autocovariances
+from .series import _normalized, autocovariances
 
 __all__ = ["UnitRootReport", "ljung_box", "adf_test", "kpss_test"]
+
+# Shortest series adf_test and kpss_test accept.
+MIN_UNIT_ROOT_LENGTH = 30
 
 
 @dataclass(frozen=True)
@@ -43,16 +46,14 @@ _TABLES = _load_tables()
 
 def ljung_box(s, lags: int = 10) -> UnitRootReport:
     """Portmanteau test of the first ``lags`` autocorrelations being zero."""
-    s = as_series(s)
+    x, _ = _normalized(s, minimum=1)
     lags = int(lags)
-    n = len(s)
+    n = x.size
     if lags < 1:
         raise InvalidInputError("number of lags must be positive")
     if lags >= n / 2:
         raise InvalidInputError(f"lags must be below n/2, got lags={lags}, n={n}")
-    gamma = autocovariances(s, lags)
-    if gamma[0] <= 0.0:
-        raise InvalidInputError("series has zero variance")
+    gamma = autocovariances(x, lags)
     rho = gamma[1:] / gamma[0]
     q = n * (n + 2.0) * np.sum(rho**2 / (n - np.arange(1, lags + 1)))
     return UnitRootReport(
@@ -73,21 +74,21 @@ def adf_test(s) -> UnitRootReport:
     Regresses the first difference on an intercept, a linear trend, the
     lagged level and floor((n-1)^(1/3)) lagged differences, and refers the
     t-statistic of the lagged level to the trend-case Dickey-Fuller table.
-    Small p-values speak against a unit root, i.e. for stationarity.
+    Small p-values speak against a unit root, i.e. for stationarity.  The
+    trend and the lagged level enter centred, which leaves that t-statistic
+    unchanged and keeps the design well conditioned at any offset.
     """
-    s = as_series(s)
-    n = len(s)
-    if n < 30:
-        raise InvalidInputError(f"ADF test requires at least 30 observations, got {n}")
-    x = s.values
+    x, _ = _normalized(s, MIN_UNIT_ROOT_LENGTH)
+    n = x.size
     d = np.diff(x)
     k = int(np.floor((n - 1) ** (1.0 / 3.0)))
     rows = n - 1 - k
     y = d[k:]
+    level = x[k : n - 1]
     design = np.empty((rows, 3 + k))
     design[:, 0] = 1.0
-    design[:, 1] = np.arange(k + 1, n)  # time index of the response
-    design[:, 2] = x[k : n - 1]  # lagged level
+    design[:, 1] = np.arange(rows) - (rows - 1) / 2.0  # centred time index of the response
+    design[:, 2] = level - level.mean()  # lagged level
     for j in range(1, k + 1):
         design[:, 2 + j] = d[k - j : n - 1 - j]
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -95,8 +96,6 @@ def adf_test(s) -> UnitRootReport:
         raise NumericDegeneracyError("Dickey-Fuller regression design is rank deficient")
     resid = y - design @ coef
     dof = rows - design.shape[1]
-    if dof < 1:
-        raise InvalidInputError("too few observations for the Dickey-Fuller regression")
     sigma2 = float(resid @ resid) / dof
     xtx_inv = np.linalg.inv(design.T @ design)
     stat = float(coef[2] / np.sqrt(sigma2 * xtx_inv[2, 2]))
@@ -116,13 +115,9 @@ def kpss_test(s) -> UnitRootReport:
     is a Bartlett long-run variance with truncation floor(4 (n/100)^(1/4)).
     Small p-values speak against stationarity.
     """
-    s = as_series(s)
-    n = len(s)
-    if n < 30:
-        raise InvalidInputError(f"KPSS test requires at least 30 observations, got {n}")
-    e = s.values - np.mean(s.values)
-    if np.max(np.abs(e)) == 0.0:
-        raise InvalidInputError("series has zero variance")
+    x, _ = _normalized(s, MIN_UNIT_ROOT_LENGTH)
+    n = x.size
+    e = x - np.mean(x)
     cumsums = np.cumsum(e)
     eta = float(np.sum(cumsums**2)) / n**2
     lag = int(np.floor(4.0 * (n / 100.0) ** 0.25))

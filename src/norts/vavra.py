@@ -19,7 +19,7 @@ from scipy.special import ndtri
 from .dist import normal_logcdf, normal_logsf
 from .errors import InvalidInputError, NumericDegeneracyError
 from .rng import RngStream
-from .series import _arma_filter, as_series, autocovariances, require_test_length
+from .series import _arma_filter, _normalized, as_series, autocovariances
 
 __all__ = [
     "SieveConfig",
@@ -85,11 +85,7 @@ def anderson_darling(s) -> float:
     the divisor-n variance, then the classic closed form of the weighted
     CDF distance is evaluated with log-CDF calls for tail stability.
     """
-    s = as_series(s)
-    require_test_length(s)
-    x = s.values
-    if np.mean((x - np.mean(x)) ** 2) <= 0.0:
-        raise InvalidInputError("series has zero variance")
+    x, _ = _normalized(s)
     return float(_ad_rows(x[None, :])[0])
 
 
@@ -187,11 +183,11 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
     continuation of its own sub-stream (the uniforms after the ones the
     batch used) and dropped from the count thereafter.
     """
-    s = as_series(s)
-    ad_obs = anderson_darling(s)
-    n = len(s)
+    x, _ = _normalized(s)
+    ad_obs = anderson_darling(x)
+    n = x.size
     max_order = cfg.max_order if cfg.max_order is not None else default_max_order(n)
-    order, phi, resid = fit_ar_sieve(s, max_order)
+    order, phi, resid = fit_ar_sieve(x, max_order)
     sigma_e = float(np.sqrt(np.mean(resid**2)))
     if sigma_e <= 0.0:
         raise NumericDegeneracyError("sieve residuals have zero variance")

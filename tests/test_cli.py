@@ -6,8 +6,9 @@ import pytest
 from norts import ArmaSpec, RngStream, simulate_arma
 from norts.cli import main
 
-# small enough that the Dickey-Fuller design is rank deficient
-TINY_40 = 1e-110 * RngStream(3)._generator().standard_normal(40)
+# periodic, so the Dickey-Fuller design is rank deficient; five levels give
+# epps a moment covariance of full rank
+PERIOD_5 = np.tile([0.0, 1.0, 2.0, 3.0, 4.0], 40)
 
 
 @pytest.fixture
@@ -98,30 +99,32 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_numeric_degeneracy_is_4(self, tmp_path, capsys):
-        x = 1e-110 * RngStream(3)._generator().standard_normal(20)
-        p = tmp_path / "tiny.csv"
-        p.write_text("\n".join(f"{v:.6e}" for v in x) + "\n")
+        # a period-2 series: F3 is zero in exact arithmetic and -3.5e-18 here
+        p = tmp_path / "flip.csv"
+        p.write_text("\n".join(repr(v) for v in np.tile([0.0, 1.0], 10).tolist()) + "\n")
         assert main(["test", "--method", "lobato", str(p)]) == 4
-        assert "degeneracy" in capsys.readouterr().err
+        assert "numeric degeneracy: non-positive studentization sum" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["lobato", "rp"])
-    def test_overflowing_moments_are_degeneracy_4(self, method, tmp_path, capsys):
-        # third and fourth moments of a 1e150-scaled series exceed double range;
-        # rp meets them in its first lobato projection
-        x = 1e150 * RngStream(7)._generator().standard_normal(200)
-        p = tmp_path / "huge.csv"
-        p.write_text("\n".join(repr(float(v)) for v in x) + "\n")
-        assert main(["test", "--method", method, "--seed", "5", str(p)]) == 4
-        err = capsys.readouterr().err
-        assert "numeric degeneracy" in err and "overflow double precision" in err
-        assert "Traceback" not in err
+    def test_extreme_scale_exits_0(self, method, tmp_path, capsys):
+        # moments of these series lie outside double range; the tests run on
+        # the series scaled to unit spread, so they give the unit-scale result
+        z = RngStream(7)._generator().standard_normal(200)
+        outputs = []
+        for scale in (1e150, 1e300, 1e-150, 1e-300, 1.0):
+            p = tmp_path / "x.csv"
+            p.write_text("\n".join(repr(float(v)) for v in scale * z) + "\n")
+            assert main(["test", "--method", method, "--seed", "5", str(p)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "p-value = " in outputs[-1] and "nan" not in outputs[-1]
+        assert outputs == outputs[-1:] * 5
 
     @pytest.mark.parametrize(
         "values, method, extra",
         [
             (np.tile([0.0, 1.0], 100), "vavra", ["--reps", "200", "--seed", "4"]),
-            (TINY_40, "epps", []),
-            (TINY_40, "vavra", ["--reps", "200", "--seed", "4"]),
+            (PERIOD_5, "epps", []),
+            (PERIOD_5, "vavra", ["--reps", "200", "--seed", "4"]),
         ],
     )
     def test_failed_stationarity_precheck_is_a_note(self, values, method, extra, tmp_path, capsys):

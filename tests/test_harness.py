@@ -95,7 +95,7 @@ class TestRunScenario:
         def filtered(eps, ar):
             x = series._arma_filter(eps, ar)
             x[1] = 1.0  # zero variance
-            x[3] *= 1e-110  # studentization sums underflow to zero
+            x[3] = np.tile([0.0, 1.0], x.shape[1] // 2)  # F3 = 0 exactly, -1.4e-17 here
             return x
 
         monkeypatch.setattr(harness, "_arma_filter", filtered)
@@ -103,7 +103,7 @@ class TestRunScenario:
         r = run_scenario(spec, RngStream(2107), skip_failures=True)
         assert r.failures == (
             "trial 1: series has zero variance",
-            "trial 3: non-positive studentization sum (F3=0, F4=0)",
+            "trial 3: non-positive studentization sum (F3=-1.38778e-17, F4=0.390625)",
         )
         assert r.trials_used == 3
         with pytest.raises(InvalidInputError, match="scenario failed: trial 1: series has zero variance"):
@@ -192,6 +192,28 @@ class TestReproduceTables:
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             reproduce_tables(("anderson",), (100,), 5, tmp_path / "x.csv")
+
+    def test_failing_first_cell_leaves_existing_file(self, tmp_path):
+        # rp at n = 12 cannot draw a projection that leaves 10 points
+        out = tmp_path / "keep.csv"
+        out.write_text("method,law,phi,n,rate,trials\nlobato,normal,0,100,0.050000,200\n")
+        before = out.read_bytes()
+        grid = dict(phis=(0.0,), laws=(InnovationLaw.normal(),), method_options={"rp": {"k": 10}})
+        with pytest.raises(InvalidInputError, match="projection 1: .* the 12 available"):
+            reproduce_tables(("rp",), (12,), 2, out, seed=1, **grid)
+        assert out.read_bytes() == before
+        # an invalid later cell fails before the first one runs
+        ran = []
+        with pytest.raises(InvalidInputError, match="at least 10"):
+            reproduce_tables(("rp",), (100, 5), 2, out, seed=1, progress=ran.append, **grid)
+        assert ran == [] and out.read_bytes() == before
+        # once a cell has run, rows stream: a later failure keeps them on disk
+        with pytest.raises(InvalidInputError, match="the 12 available"):
+            reproduce_tables(("rp",), (100, 12), 2, out, seed=1, progress=ran.append, **grid)
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert len(ran) == 1
+        assert rows == [list(harness._CSV_FIELDS), ["rp", "normal", "0", "100", f"{ran[0].rate:.6f}", "2"]]
 
 
 def test_power_monotone_plausible_in_n():

@@ -202,11 +202,12 @@ class TestRpTest:
         assert rejections / trials < 0.08
 
     def test_error_carries_projection_index(self):
-        # an all-zero input projects to exact zeros: the marginal test
-        # reports zero variance, tagged with the projection that hit it
-        cfg = ProjectionConfig(seed=RngStream(1), k=2, pars1=(100.0, 1.0), pars2=(100.0, 1.0))
-        with pytest.raises(InvalidInputError, match=r"projection 1: .*zero variance"):
-            rp_test([0.0] * 60, cfg)
+        # any projection of a period-2 series is period-2: its F3 is zero in
+        # exact arithmetic, and this draw's first one rounds below zero; the
+        # marginal test's error is tagged with the projection that hit it
+        cfg = ProjectionConfig(seed=RngStream(3), k=2, pars1=(100.0, 1.0), pars2=(100.0, 1.0))
+        with pytest.raises(NumericDegeneracyError, match=r"projection 1: non-positive studentization"):
+            rp_test(np.tile([0.0, 1.0], 60), cfg)
 
     def test_rank_deficient_epps_projection_carries_index(self):
         # any projection of a period-2 series is period-2, hence two-valued:

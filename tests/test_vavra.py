@@ -24,6 +24,7 @@ from norts import (
     simulate_arma,
     vavra_test,
 )
+from norts.series import _normalized
 from norts.vavra import default_max_order
 
 
@@ -205,7 +206,8 @@ class TestVavraTest:
         assert result.replications_used == reps
         assert len(redraws) == 1
 
-        _, phi, resid = fit_ar_sieve(s, default_max_order(n))
+        # the bootstrap runs on the series scaled to unit spread
+        _, phi, resid = fit_ar_sieve(_normalized(s)[0], default_max_order(n))
         total_len = 100 + n
         u = cfg.seed.substream(r).uniform(2 * total_len)[total_len:]
         if bootstrap == "normal":
