@@ -44,6 +44,14 @@ class ProjectionConfig:
     Half of the ``k`` projections are drawn with beta parameters ``pars1``
     (spread over many lags by default) and half with ``pars2``
     (concentrated near lag zero by default).
+
+    Each projected series must keep ``MIN_TEST_LENGTH`` points, and a
+    direction from the default ``pars1`` spans about 60 to 100 lags (the
+    sticks it takes to reach ``TRUNCATION_MASS``; median 77).  So rp needs
+    about 80 observations: at the default ``k``, a series of 72 points or
+    fewer almost surely fails with :class:`InvalidInputError` ("directions
+    keep spanning more than the n available observations"), and one of 80
+    or more runs.
     """
 
     seed: RngStream

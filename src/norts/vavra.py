@@ -14,9 +14,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import log_ndtr, ndtri
 
-from .dist import normal_logcdf, normal_logsf
 from .errors import InvalidInputError, NumericDegeneracyError
 from .rng import RngStream
 from .series import _arma_filter, _normalized, as_series, autocovariances
@@ -159,12 +158,15 @@ def _ad_rows(x: np.ndarray) -> np.ndarray:
     """Anderson-Darling statistic per row of a 2-d array (nan where degenerate)."""
     n = x.shape[1]
     z = x - x.mean(axis=1, keepdims=True)
-    g0 = np.mean(z**2, axis=1, keepdims=True)
+    # two full-size arrays in all: z and one buffer for the square and the terms
+    terms = np.square(z)
+    g0 = terms.mean(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         z /= np.sqrt(g0)
         z.sort(axis=1)
-        terms = normal_logcdf(z)
-        terms += normal_logsf(z[:, ::-1])
+        log_ndtr(z, out=terms)
+        log_ndtr(np.negative(z, out=z), out=z)  # log-SF, read back reversed
+        terms += z[:, ::-1]
         terms *= 2.0 * np.arange(1, n + 1) - 1.0
         out = -n - terms.sum(axis=1) / n
     out[~np.isfinite(out)] = np.nan

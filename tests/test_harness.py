@@ -19,6 +19,7 @@ from norts import (
 import norts.rng as rng_module
 from norts import harness, report, series
 from norts.cli import main
+from norts.dist import _quantile
 
 
 class TestRunScenario:
@@ -95,7 +96,7 @@ class TestRunScenario:
         def filtered(eps, ar):
             x = series._arma_filter(eps, ar)
             x[1] = 1.0  # zero variance
-            x[3] = np.tile([0.0, 1.0], x.shape[1] // 2)  # F3 = 0 exactly, -1.4e-17 here
+            x[3, -100:] = np.tile([0.0, 1.0], 50)  # F3 = 0 exactly, -1.4e-17 here
             return x
 
         monkeypatch.setattr(harness, "_arma_filter", filtered)
@@ -235,11 +236,42 @@ def test_power_monotone_plausible_in_n():
             assert rates[1000] >= rates[100] - 0.05, (law.label, method, rates)
 
 
+@pytest.mark.parametrize(
+    "phi, k",
+    [(0.0, 0), (0.25, 27), (-0.25, 27), (0.4, 41), (-0.4, 41), (0.5, 53),
+     (0.929, 499), (0.93, 500), (-0.93, 500), (0.99, 500)],
+)
+def test_burn_in_is_the_memory_above_half_an_ulp(phi, k):
+    # 0.5**53 == 2**-53 exactly: the boundary counts as negligible
+    assert harness._burn_in(phi) == k
+
+
+@pytest.mark.parametrize("law", harness.TABLE_LAWS, ids=lambda law: law.label)
+def test_short_burn_in_keeps_the_full_burn_in_path(law):
+    # the same trailing innovations, filtered from k(phi) or BURN_IN steps back
+    n, burn = 100, harness.BURN_IN
+    eps = _quantile(law, RngStream(2402).uniform_rows(range(500), burn + n))
+    for phi in harness.TABLE_PHIS + (-0.6, 0.6, 0.9, -0.93, 0.93, 0.99):
+        ar = (phi,) if phi != 0.0 else ()
+        full = series._arma_filter(eps, ar)[:, burn:]
+        k = harness._burn_in(phi)
+        short = series._arma_filter(eps[:, burn - k :], ar)[:, k:]
+        if phi == 0.0 or abs(phi) >= 0.93:
+            np.testing.assert_array_equal(short, full)
+        else:
+            gap = np.max(np.abs(short - full), axis=1)
+            assert np.all(gap <= 1e-13 * full.std(axis=1)), (phi, np.max(gap / full.std(axis=1)))
+
+
 def per_trial(spec, stream, j):
-    """Trial j as one series: the reference for the chunked path."""
+    """Trial j as one series, as the harness docstring defines it: the
+    reference for the chunked path."""
     arma = ArmaSpec(ar=(spec.phi,) if spec.phi != 0.0 else (), innovation=spec.law)
     trial = stream.substream(j)
-    x = simulate_arma(arma, spec.n, harness.BURN_IN, trial.substream(0))
+    s = trial.substream(0)
+    k = harness._burn_in(spec.phi)
+    s.uniform(harness.BURN_IN - k)
+    x = simulate_arma(arma, spec.n, k, s)
     try:
         rep = report.test_dispatch(
             spec.method, x, rng=trial.substream(1), warn_stationarity=False, **spec.method_options

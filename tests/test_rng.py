@@ -164,3 +164,15 @@ def test_uniform_rows_any_index_set_and_tail_property(seed, stream_id, indices, 
         for entry in tail:
             ref = ref.substream(entry)
         np.testing.assert_array_equal(row, ref.uniform(size))
+
+
+@pytest.mark.parametrize("a, b", [(0, 7), (1, 10), (3, 5), (4, 4), (7, 9), (494, 106)])
+def test_consecutive_draws_split_one_draw(a, b):
+    # Philox hands out four 64-bit words per counter step and buffers the
+    # rest, so a split off a multiple of four is covered on purpose
+    whole = RngStream(31, stream_id=2).substream(5).substream(0).uniform(a + b)
+    s = RngStream(31, stream_id=2).substream(5).substream(0)
+    np.testing.assert_array_equal(s.uniform(a), whole[:a])
+    np.testing.assert_array_equal(s.uniform(b), whole[a:])
+    row = RngStream(31, stream_id=2).uniform_rows([5], a + b, tail=(0,))[0]
+    np.testing.assert_array_equal(row, whole)
