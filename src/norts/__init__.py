@@ -8,7 +8,7 @@ Four test families are provided: the characteristic-function test
 and a Monte-Carlo rejection-rate harness.
 """
 
-from .dist import InnovationLaw, chi2_sf, normal_logcdf, normal_logsf, normal_ppf, sample
+from .dist import InnovationLaw, chi2_sf, normal_ppf, sample
 from .epps import (
     EppsResult,
     Lambda,
@@ -70,8 +70,6 @@ __all__ = [
     "RngStream",
     "InnovationLaw",
     "sample",
-    "normal_logcdf",
-    "normal_logsf",
     "normal_ppf",
     "chi2_sf",
     # series

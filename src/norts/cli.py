@@ -12,7 +12,7 @@ import secrets
 import sys
 from pathlib import Path
 
-from .errors import InvalidInputError, NortsError, NumericDegeneracyError
+from .errors import InvalidInputError, NumericDegeneracyError
 from .harness import TABLE_LAWS, TABLE_METHODS, TABLE_PHIS, reproduce_tables
 from .dist import InnovationLaw
 from .report import (
@@ -61,10 +61,11 @@ def _pair(text: str) -> tuple[float, float]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, report: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed (default: from entropy)")
     parser.add_argument("--alpha", type=float, default=0.05, help="significance level (default 0.05)")
-    parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    if report:
+        parser.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--timing", action="store_true",
                        help="append the non-reproducible seconds_per_trial column")
     p_sim.add_argument("--quiet", action="store_true", help="suppress progress lines on stderr")
-    _add_common(p_sim)
+    _add_common(p_sim, report=False)
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -134,9 +135,13 @@ def _stream_from_args(args) -> RngStream | None:
     return RngStream(args.seed)
 
 
-def _method_options(args, method: str) -> dict:
-    """The method's keyword options that this subcommand has and that are set."""
-    options = ((name, getattr(args, name, None)) for name in METHODS[method].options)
+# every keyword option of the seven methods
+_ALL_OPTIONS = tuple(o for m in METHODS.values() for o in m.options)
+
+
+def _options(args, names) -> dict:
+    """The options among ``names`` that this subcommand has and that are set."""
+    options = ((name, getattr(args, name, None)) for name in names)
     return {name: value for name, value in options if value is not None}
 
 
@@ -148,7 +153,7 @@ def _cmd_test(args) -> int:
         alpha=args.alpha,
         rng=_stream_from_args(args),
         data_name=Path(args.file).stem,
-        **_method_options(args, args.method),
+        **_options(args, _ALL_OPTIONS),
     )
     if args.format == "json":
         print(render_json(report))
@@ -184,7 +189,7 @@ def _cmd_simulate(args) -> int:
         phis=args.phis,
         laws=_parse_laws(args.laws),
         alpha=args.alpha,
-        method_options={m: _method_options(args, m) for m in TABLE_METHODS},
+        method_options={m: _options(args, METHODS[m].options) for m in TABLE_METHODS},
         workers=args.workers,
         skip_failures=args.skip_failures,
         timing=args.timing,
@@ -201,7 +206,7 @@ def _cmd_check(args) -> int:
         alpha=args.alpha,
         seed=_stream_from_args(args),
         plot_dir=args.out if args.plot_data else None,
-        normality_options=_method_options(args, args.normality),
+        normality_options=_options(args, _ALL_OPTIONS),
     )
     report = check(series, cfg, data_name=Path(args.file).stem)
     if args.format == "json":
@@ -222,10 +227,3 @@ def main(argv=None) -> int:
     except InvalidInputError as exc:
         print(f"norts: invalid input: {exc}", file=sys.stderr)
         return 3
-    except NortsError as exc:
-        print(f"norts: {exc}", file=sys.stderr)
-        return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,8 +1,9 @@
 """Distribution functions and innovation sampling.
 
-The normal log-CDF and quantile functions and the chi-square upper tail
-are thin wrappers over ``scipy.special`` primitives; sampling is
-inverse-CDF throughout so that a given :class:`~norts.rng.RngStream` yields the same draws on every platform.
+The normal quantile function and the chi-square upper tail are thin
+wrappers over ``scipy.special`` primitives; sampling is inverse-CDF
+throughout so that a given :class:`~norts.rng.RngStream` yields the same
+draws on every platform.
 """
 
 from __future__ import annotations
@@ -16,23 +17,11 @@ from .errors import InvalidInputError
 from .rng import RngStream
 
 __all__ = [
-    "normal_logcdf",
-    "normal_logsf",
     "normal_ppf",
     "chi2_sf",
     "InnovationLaw",
     "sample",
 ]
-
-
-def normal_logcdf(x):
-    """log Phi(x), stable deep into the left tail."""
-    return special.log_ndtr(x)
-
-
-def normal_logsf(x):
-    """log(1 - Phi(x)), stable deep into the right tail."""
-    return special.log_ndtr(np.negative(x))
 
 
 def normal_ppf(q):

@@ -29,8 +29,8 @@ bounded size: one batched uniform draw (:meth:`RngStream.uniform_rows`, bit
 for bit the per-trial streams), one inverse-CDF call and one ARMA filter
 along the rows.  A method with a rows kernel (lobato) scores the whole
 block at once; any other method, and any row the kernel finds degenerate,
-runs through :func:`test_dispatch` trial by trial, so p-values and error
-messages are those of the single-series test.  The optional timing column
+runs the method's own runner trial by trial, so p-values and error messages
+are those of the single-series test.  The optional timing column
 is the cell's wall time divided by its trials, an average over the shared
 blocks rather than a time measured per trial.
 """
@@ -48,9 +48,9 @@ import numpy as np
 
 from .dist import InnovationLaw, _quantile
 from .errors import InvalidInputError, NortsError
-from .report import METHODS, NORMALITY_METHODS, _check_alpha, test_dispatch
+from .report import METHODS, NORMALITY_METHODS, _check_alpha, _method
 from .rng import RngStream
-from .series import _arma_filter
+from .series import MIN_TEST_LENGTH, _arma_filter
 
 __all__ = [
     "ScenarioSpec",
@@ -109,12 +109,9 @@ class ScenarioSpec:
         _check_alpha(self.alpha)
         if int(self.trials) < 1:
             raise InvalidInputError("trials must be positive")
-        if int(self.n) < 10:
-            raise InvalidInputError("series length must be at least 10")
-        if self.method not in TABLE_METHODS:
-            raise InvalidInputError(
-                f"unknown method {self.method!r}; expected one of {TABLE_METHODS}"
-            )
+        if int(self.n) < MIN_TEST_LENGTH:
+            raise InvalidInputError(f"series length must be at least {MIN_TEST_LENGTH}")
+        _method(self.method, self.method_options, among=TABLE_METHODS)
         object.__setattr__(self, "phi", float(self.phi))
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "trials", int(self.trials))
@@ -135,8 +132,9 @@ def _trial_batch(args):
     spec, stream, indices, skip_failures = args
     ar = (spec.phi,) if spec.phi != 0.0 else ()
     skip = BURN_IN - _burn_in(spec.phi)  # uniforms drawn but not used
-    # a rows kernel takes no options: test_dispatch rejects any it is given
-    rows = None if spec.method_options else METHODS[spec.method].rows
+    method = METHODS[spec.method]
+    # a rows kernel scores the method as it runs with no options
+    rows = None if spec.method_options else method.rows
     out = []
     # trial j simulates from sub-stream (j, 0), as the module docstring states
     for trials, u in stream._uniform_blocks(indices, BURN_IN + spec.n, tail=(0,)):
@@ -147,10 +145,8 @@ def _trial_batch(args):
             if math.isnan(p):
                 # unscored or degenerate: the method runs on the trial itself
                 try:
-                    p = test_dispatch(
-                        spec.method, path, rng=stream.substream(j).substream(1),
-                        warn_stationarity=False, **spec.method_options,
-                    ).p_value
+                    r = method.run(path, stream.substream(j).substream(1), **spec.method_options)
+                    p = r.p_value
                 except NortsError as exc:
                     out.append((j, None, exc))
                     if not skip_failures:

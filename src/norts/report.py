@@ -5,7 +5,8 @@ plot-data files.
 the runner, the report label, how to read the statistics, degrees of
 freedom and notes off the result, the alternative-hypothesis line and the
 keyword options the runner takes.  :func:`test_dispatch`, the CLI and the
-Monte-Carlo harness all resolve methods through it, and the method-name
+Monte-Carlo harness all resolve methods through it, one check (``_method``)
+validates a method's name and options for all of them, and the method-name
 tuples are derived from it.
 
 Every test outcome is rendered through :class:`TestReport`, which carries
@@ -241,6 +242,21 @@ NORMALITY_METHODS = tuple(name for name, m in METHODS.items() if not m.unit_root
 UNIT_ROOT_METHODS = tuple(name for name, m in METHODS.items() if m.unit_root)
 
 
+def _method(name: str, options=(), among=tuple(METHODS), kind: str = "method") -> Method:
+    """The :data:`METHODS` row of ``name``, after checking that ``name`` is
+    one of ``among`` (a ``kind`` for the message) and that the method takes
+    every key of ``options``; either failure is an input error."""
+    if name not in among:
+        raise InvalidInputError(f"unknown {kind} {name!r}; expected one of {among}")
+    spec = METHODS[name]
+    unknown = sorted(set(options) - set(spec.options))
+    if unknown:
+        raise InvalidInputError(
+            f"method {name!r} takes no option {unknown[0]!r}; its options are {spec.options}"
+        )
+    return spec
+
+
 def test_dispatch(
     method: str,
     s,
@@ -262,14 +278,7 @@ def test_dispatch(
     """
     _check_alpha(alpha)
     s = as_series(s)
-    if method not in METHODS:
-        raise InvalidInputError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-    spec = METHODS[method]
-    unknown = sorted(set(options) - set(spec.options))
-    if unknown:
-        raise InvalidInputError(
-            f"method {method!r} takes no option {unknown[0]!r}; its options are {spec.options}"
-        )
+    spec = _method(method, options)
 
     notes: tuple[str, ...] = ()
     if warn_stationarity and not spec.unit_root:
@@ -303,14 +312,8 @@ class CheckConfig:
     normality_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.unit_root not in UNIT_ROOT_METHODS:
-            raise InvalidInputError(
-                f"unknown unit-root method {self.unit_root!r}; expected one of {UNIT_ROOT_METHODS}"
-            )
-        if self.normality not in NORMALITY_METHODS:
-            raise InvalidInputError(
-                f"unknown normality method {self.normality!r}; expected one of {NORMALITY_METHODS}"
-            )
+        _method(self.unit_root, among=UNIT_ROOT_METHODS, kind="unit-root method")
+        _method(self.normality, self.normality_options, NORMALITY_METHODS, "normality method")
         _check_alpha(self.alpha)
         if self.plot_dir is not None:
             object.__setattr__(self, "plot_dir", Path(self.plot_dir))

@@ -139,10 +139,6 @@ class RngStream:
         self.path = _path
         self._gen: Generator | None = None
 
-    @property
-    def stream_id(self) -> int:
-        return self.path[0]
-
     def substream(self, index: int) -> "RngStream":
         """Child stream for work item ``index``; independent of the parent."""
         index = int(index)

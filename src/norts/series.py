@@ -8,6 +8,7 @@ complementary lags and are stated for the divisor-``n`` convention.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -105,27 +106,29 @@ def _normalized(s, minimum: int = MIN_TEST_LENGTH) -> tuple[np.ndarray, int]:
 def read_series_csv(path) -> Series:
     """Read a one-column CSV of reals; an optional header row is skipped.
 
-    Non-numeric cells (outside a first-line header) and multi-column rows
-    are rejected with the offending line number.
+    The file is read as UTF-8, with or without a byte-order mark.  A file
+    that cannot be read or decoded, non-numeric cells (outside a first-line
+    header) and multi-column rows are rejected, the last two with the
+    offending line number.
     """
     values = []
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row if c.strip() != ""]
-            if not cells:
-                continue
-            if len(cells) > 1:
-                raise InvalidInputError(f"{path}: line {lineno}: expected a single column, got {len(cells)}")
-            try:
-                values.append(float(cells[0]))
-            except ValueError:
-                if lineno == 1 and not values:
-                    continue  # header row
-                raise InvalidInputError(f"{path}: line {lineno}: non-numeric value {cells[0]!r}") from None
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        cells = [c.strip() for c in row if c.strip() != ""]
+        if not cells:
+            continue
+        if len(cells) > 1:
+            raise InvalidInputError(f"{path}: line {lineno}: expected a single column, got {len(cells)}")
+        try:
+            values.append(float(cells[0]))
+        except ValueError:
+            if lineno == 1 and not values:
+                continue  # header row
+            raise InvalidInputError(f"{path}: line {lineno}: non-numeric value {cells[0]!r}") from None
     if not values:
         raise InvalidInputError(f"{path}: no numeric data found")
     return Series(np.array(values))
@@ -241,7 +244,7 @@ class GarchSpec:
         if alpha0 == 0.0:
             warnings.warn(
                 "alpha0 = 0 gives a degenerate GARCH process; substituting alpha0 = 1e-6",
-                stacklevel=2,
+                stacklevel=3,
             )
             alpha0 = 1e-6
         if alpha0 < 0 or not np.isfinite(alpha0):

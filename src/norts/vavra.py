@@ -56,7 +56,7 @@ class SieveConfig:
         if int(self.replications) < 100:
             warnings.warn(
                 "fewer than 100 bootstrap replications give a coarse p-value",
-                stacklevel=2,
+                stacklevel=3,
             )
         if self.max_order is not None and int(self.max_order) < 0:
             raise InvalidInputError("max_order must be non-negative")

@@ -1,10 +1,14 @@
+import argparse
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from norts import ArmaSpec, RngStream, simulate_arma
-from norts.cli import main
+from norts import ArmaSpec, RngStream, read_series_csv, simulate_arma
+from norts import test_dispatch as dispatch  # alias keeps pytest collection away
+from norts.cli import build_parser, main
+from norts.harness import TABLE_LAWS
 
 # periodic, so the Dickey-Fuller design is rank deficient; five levels give
 # epps a moment covariance of full rank
@@ -55,6 +59,26 @@ class TestTestCommand:
         ]) == 0
         assert "Psaradakis-Vavra test" in capsys.readouterr().out
 
+    def test_rp_beta_parameters(self, gaussian_csv, capsys):
+        args = ["--k", "4", "--pars1", "2,5", "--pars2", "30,1", "--seed", "8"]
+        assert main(["test", "--method", "rp", *args, "--format", "json", str(gaussian_csv)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        expected = dispatch("rp", read_series_csv(gaussian_csv), rng=RngStream(8), k=4,
+                            pars1=(2.0, 5.0), pars2=(30.0, 1.0))
+        assert rep["p_value"] == expected.p_value
+        assert rep["statistics"] == expected.statistics
+
+    def test_byte_order_mark_reads_every_value(self, tmp_path, capsys):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        text = "\n".join(f"{v:.12g}" for v in PERIOD_5 + np.arange(200) % 7) + "\n"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        outputs = []
+        for path in (plain, bom):
+            assert main(["test", "--method", "lobato", "--format", "json", str(path)]) == 0
+            outputs.append(json.loads(capsys.readouterr().out)["p_value"])
+        assert outputs[0] == outputs[1]
+
     def test_unit_root_methods(self, gaussian_csv, capsys):
         for method in ("adf", "kpss", "lb"):
             assert main(["test", "--method", method, str(gaussian_csv)]) == 0
@@ -72,6 +96,38 @@ class TestExitCodes:
         p.write_text("1.0\nnot-a-number\n")
         assert main(["test", "--method", "lobato", str(p)]) == 3
         assert "line 2" in capsys.readouterr().err
+
+    def test_undecodable_file_is_3(self, tmp_path, capsys):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"valu\xe9\n" + "\n".join(str(float(i % 7)) for i in range(50)).encode())
+        assert main(["test", "--method", "lobato", str(p)]) == 3
+        assert f"invalid input: cannot read {p}: 'utf-8' codec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["test", "--method", "lobato", "--k", "64"], "method 'lobato' takes no option 'k'"),
+            (["test", "--method", "epps", "--lags", "4", "--reps", "5"],
+             "method 'epps' takes no option 'lags'"),
+            (["test", "--method", "adf", "--bootstrap", "normal"], "method 'adf' takes no option 'bootstrap'"),
+            (["check", "--normality", "rp", "--reps", "100"],
+             "method 'rp' takes no option 'replications'; its options are ('k', 'pars1', 'pars2')"),
+            (["check", "--normality", "lobato", "--k", "8"], "method 'lobato' takes no option 'k'"),
+        ],
+    )
+    def test_flag_the_method_does_not_take_is_3(self, argv, message, gaussian_csv, capsys):
+        assert main([*argv, str(gaussian_csv)]) == 3
+        captured = capsys.readouterr()
+        assert f"norts: invalid input: {message}" in captured.err
+        assert captured.out == ""
+
+    def test_simulate_has_no_format_flag(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--m", "3", "--seed", "1", "--format", "json", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_precondition_violation_is_3(self, tmp_path, capsys):
         p = tmp_path / "short.csv"
@@ -209,3 +265,44 @@ class TestSimulateCommand:
         ]) == 0
         err = capsys.readouterr().err
         assert "lobato normal phi=0 n=100" in err
+
+    def test_default_laws_and_echoed_seed(self, tmp_path, capsys):
+        out, replay = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = ["simulate", "--methods", "lobato", "--n", "20", "--m", "4", "--phis", "0", "--quiet"]
+        assert main([*grid, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("seed: ") and err.count("\n") == 1
+        with open(out, newline="") as fh:
+            laws = [row[1] for row in list(csv.reader(fh))[1:]]
+        assert laws == [law.label for law in TABLE_LAWS]
+        assert main([*grid, "--seed", err.split()[1], "--out", str(replay)]) == 0
+        assert replay.read_bytes() == out.read_bytes()
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records which of its attributes were read."""
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "__dict__").setdefault("_reads", set()).add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--method", "lobato", "{csv}"],
+        ["check", "--normality", "lobato", "--plot-data", "--out", "{dir}", "{csv}"],
+        ["simulate", "--methods", "lobato", "--n", "12", "--m", "2", "--phis", "0", "--laws", "normal",
+         "--seed", "1", "--quiet", "--out", "{dir}/t.csv"],
+    ],
+)
+def test_every_flag_is_read(argv, tmp_path, capsys):
+    # a flag that is parsed but never read does nothing
+    p = tmp_path / "x.csv"
+    p.write_text("\n".join(repr(v) for v in (PERIOD_5[:40] + np.arange(40) % 3).tolist()) + "\n")
+    argv = [a.format(csv=p, dir=tmp_path) for a in argv]
+    args = build_parser().parse_args(argv, namespace=_ReadRecorder())
+    dests = set(vars(args)) - {"_reads", "command", "func"}
+    vars(args)["_reads"] = set()
+    assert args.func(args) == 0
+    assert dests - vars(args)["_reads"] == set()

@@ -1,7 +1,8 @@
 """Golden CLI outputs for fixed seeds: ``norts test`` for all seven methods
 (and, for the four normality methods, the full-precision JSON report),
-``norts check`` with each seeded normality method, and a ``norts simulate``
-grid over all four normality methods at one and two workers.
+``norts check`` with each seeded normality method (and its JSON report for
+rp with 64 projections), and a ``norts simulate`` grid over all four
+normality methods at one and two workers.
 
 A change to any of these bytes is a contract change and must be stated.
 """
@@ -128,6 +129,30 @@ CHECK_GOLDEN = {
     ),
 }
 
+# the command of the cli_check benchmark workload
+CHECK_JSON_GOLDEN = (
+    ["--unit-root", "adf", "--normality", "rp", "--k", "64", "--plot-data", "--format", "json"],
+    {
+        "stationarity": {
+            "method": "Augmented Dickey-Fuller Test",
+            "statistics": {"Dickey-Fuller": -5.184828667159579, "Lag order": 6.0},
+            "p_value": 0.01,
+            "df": None,
+            "alternative": "stationary",
+            "data_name": "golden",
+            "notes": ["p-value interpolated at a critical-value table edge"],
+        },
+        "stationarity_conclusion": "golden is stationary",
+        "normality": _json_report(
+            "k random projections test",
+            {"k": 64.0, "lobato": 34.91664437982491, "epps": 4.705740873449658},
+            9.132870736298149e-17, None,
+        ),
+        "normality_conclusion": "golden does not follow a Gaussian Process",
+        "verdict": "golden is stationary but not Gaussian",
+    },
+)
+
 SIMULATE_GOLDEN = (
     b"method,law,phi,n,rate,trials\r\n"
     b"lobato,normal,0,100,0.000000,12\r\n"
@@ -181,6 +206,14 @@ def test_check_command_text(normality, golden_csv, capsys):
     argv = ["check", "--normality", normality, *extra, "--seed", "13", str(golden_csv)]
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_check_command_json(golden_csv, tmp_path, capsys):
+    extra, expected = CHECK_JSON_GOLDEN
+    argv = ["check", *extra, "--seed", "13", "--out", str(tmp_path), str(golden_csv)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["acf.csv", "hist.csv", "qq.csv", "residuals.csv"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -111,12 +111,12 @@ class TestRunScenario:
             run_scenario(spec, RngStream(2107))
 
     def test_option_a_method_does_not_take_is_rejected(self):
-        spec = ScenarioSpec(
-            phi=0.0, law=InnovationLaw.normal(), n=100, method="lobato",
-            method_options={"k": 4}, trials=3,
-        )
-        with pytest.raises(InvalidInputError, match="trial 0: method 'lobato' takes no option 'k'"):
-            run_scenario(spec, RngStream(2108))
+        # rejected when the cell is built, before any trial runs
+        with pytest.raises(InvalidInputError, match="^method 'lobato' takes no option 'k'"):
+            ScenarioSpec(
+                phi=0.0, law=InnovationLaw.normal(), n=100, method="lobato",
+                method_options={"k": 4}, trials=3,
+            )
 
     def test_skip_failures_requires_survivors(self):
         spec = ScenarioSpec(
@@ -193,6 +193,13 @@ class TestReproduceTables:
     def test_unknown_method_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             reproduce_tables(("anderson",), (100,), 5, tmp_path / "x.csv")
+
+    def test_option_of_a_later_method_rejected_before_any_cell_runs(self, tmp_path):
+        ran = []
+        with pytest.raises(InvalidInputError, match="method 'epps' takes no option 'k'"):
+            reproduce_tables(("lobato", "epps"), (100,), 5, tmp_path / "x.csv", progress=ran.append,
+                             method_options={"epps": {"k": 4}})
+        assert ran == [] and not (tmp_path / "x.csv").exists()
 
     def test_failing_first_cell_leaves_existing_file(self, tmp_path):
         # rp at n = 12 cannot draw a projection that leaves 10 points

@@ -154,6 +154,14 @@ class TestCheck:
             )
         assert agree / trials >= 0.90
 
+    def test_config_rejects_names_and_options_when_built(self):
+        with pytest.raises(InvalidInputError, match="unknown unit-root method 'lobato'"):
+            CheckConfig(unit_root="lobato")
+        with pytest.raises(InvalidInputError, match="unknown normality method 'adf'"):
+            CheckConfig(normality="adf")
+        with pytest.raises(InvalidInputError, match="method 'rp' takes no option 'replications'"):
+            CheckConfig(normality="rp", normality_options={"replications": 100})
+
     def test_full_default_projection_count(self):
         s = simulate_arma(ArmaSpec(), 500, 0, RngStream(4401))
         rep = check(s, CheckConfig(seed=RngStream(8)), data_name="y")

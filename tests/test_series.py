@@ -166,9 +166,10 @@ class TestSimulateGarch:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_alpha0_zero_substituted_with_warning(self):
-        with pytest.warns(UserWarning, match="alpha0"):
+        with pytest.warns(UserWarning, match="alpha0") as record:
             spec = GarchSpec(alpha0=0.0, alpha=(0.2,), beta=(0.3,))
         assert spec.alpha0 == 1e-6
+        assert record[0].filename == __file__  # the line that built the spec
 
     def test_rejects_non_stationary(self):
         with pytest.raises(InvalidSpecError):
@@ -202,3 +203,14 @@ class TestCsvReader:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError, match="cannot read"):
             read_series_csv(tmp_path / "absent.csv")
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        np.testing.assert_array_equal(read_series_csv(p).values, [1.5, 2.5, 3.5])
+
+    def test_undecodable_file_names_the_file(self, tmp_path):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"valu\xe9\n1.0\n2.0\n")
+        with pytest.raises(InvalidInputError, match=r"cannot read .*latin\.csv: 'utf-8' codec"):
+            read_series_csv(p)

@@ -173,8 +173,9 @@ class TestVavraTest:
         assert result.rate >= 0.99
 
     def test_low_replication_warning(self):
-        with pytest.warns(UserWarning, match="replications"):
+        with pytest.warns(UserWarning, match="replications") as record:
             SieveConfig(seed=RngStream(1), replications=50)
+        assert record[0].filename == __file__  # the line that built the config
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
