@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replications when normality=vavra")
     p_check.add_argument("--plot-data", action="store_true", help="write the four plot-data CSV files")
     _add_common(p_check)
-    p_check.add_argument("--out", default=".", help="directory for plot-data files")
+    p_check.add_argument("--out", default=None, help="directory for plot-data files (default: .)")
     p_check.add_argument("file", help="CSV file with one column of reals")
     p_check.set_defaults(func=_cmd_check)
 
@@ -199,13 +199,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.out is not None and not args.plot_data:
+        raise InvalidInputError("--out needs --plot-data")
     series = read_series_csv(args.file)
     cfg = CheckConfig(
         unit_root=args.unit_root,
         normality=args.normality,
         alpha=args.alpha,
         seed=_stream_from_args(args),
-        plot_dir=args.out if args.plot_data else None,
+        plot_dir=(args.out or ".") if args.plot_data else None,
         normality_options=_options(args, _ALL_OPTIONS),
     )
     report = check(series, cfg, data_name=Path(args.file).stem)

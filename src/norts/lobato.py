@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import chi2_sf
 from .errors import InvalidInputError, NumericDegeneracyError
 from .series import _full_autocovariances, _long_enough, _normalized, _spread_exponents, autocovariances
 
@@ -36,9 +35,10 @@ def _fk(g: np.ndarray, k: int) -> np.ndarray:
     """Studentization sum per row of a 2-d array of autocovariance sequences."""
     # t and -t contribute equally; gamma(n-t) for t=1..n-1 is g reversed
     tail = g[:, 1:]
-    lag_sums = 2.0 * np.sum(tail * (tail + tail[:, ::-1]) ** (k - 1), axis=1)
-    # scalar powers, as in _terms
-    return np.array([g0**k for g0 in g[:, 0]]) + lag_sums
+    pair = tail + tail[:, ::-1]
+    # lag powers as products (see _moments); gamma(0)**k a scalar power per row
+    power = pair * pair if k == 3 else pair * pair * pair
+    return np.array([g0**k for g0 in g[:, 0]]) + 2.0 * np.sum(tail * power, axis=1)
 
 
 def fk_hat(s, k: int) -> float:
@@ -55,7 +55,7 @@ def fk_hat(s, k: int) -> float:
     return float(_fk(autocovariances(s)[None, :], k)[0])
 
 
-_DEGENERATE = (math.nan,) * 3
+_DEGENERATE = (math.nan,) * 2
 
 
 def _lobato_rows(x: np.ndarray) -> np.ndarray:
@@ -71,29 +71,38 @@ def _lobato_rows(x: np.ndarray) -> np.ndarray:
         return _unit_rows(np.ldexp(x, -_spread_exponents(x)[1][:, None]))
 
 
+def _moments(d: np.ndarray):
+    """Second, third and fourth moments per row of centred data, as products:
+    IEEE products round the same on every CPU, while numpy's array power
+    runs SIMD code chosen by the CPU and can differ in the last bit."""
+    d2 = d * d
+    return d2.mean(axis=1), (d2 * d).mean(axis=1), (d2 * d2).mean(axis=1)
+
+
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """:func:`_lobato_rows` of rows already at unit spread."""
     n = x.shape[1]
     d = x - x.mean(axis=1, keepdims=True)
-    mu2, mu3, mu4 = (np.mean(d**k, axis=1) for k in (2, 3, 4))
+    mu2, mu3, mu4 = _moments(d)
     # one autocovariance sequence per row serves both studentization sums
     g = np.array([_full_autocovariances(row) for row in d])
     f3, f4 = _fk(g, 3), _fk(g, 4)
     columns = (mu2.tolist(), mu3.tolist(), mu4.tolist(), f3.tolist(), f4.tolist())
-    terms = [_terms(n, *row) for row in zip(*columns)]
-    return np.column_stack([f3, f4, np.reshape(terms, (-1, 3))])
+    terms = np.reshape([_terms(n, *row) for row in zip(*columns)], (-1, 2))
+    # the chi-square(2) upper tail exp(-stat/2), over the whole block
+    p = np.exp(-(terms[:, 0] + terms[:, 1]) / 2.0)
+    return np.column_stack([f3, f4, terms, p])
 
 
 def _terms(n: int, mu2: float, mu3: float, mu4: float, f3: float, f4: float):
-    """Skewness term, kurtosis term and p-value of one series, in Python
-    floats (numpy's array power can differ from the scalar one in the last
-    bit); NaN where :func:`lobato_test` raises."""
+    """Skewness and kurtosis terms of one series, in Python floats; NaN where
+    :func:`lobato_test` raises.  The moments come in as products (see
+    :func:`_moments`); the squares here are scalar powers of Python floats."""
     if mu2 <= 0.0 or f3 <= 0.0 or f4 <= 0.0:
         return _DEGENERATE
     skew_term = n * mu3**2 / (6.0 * f3)
     kurt_term = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
-    stat = skew_term + kurt_term
-    return (skew_term, kurt_term, chi2_sf(stat, 2)) if math.isfinite(stat) else _DEGENERATE
+    return (skew_term, kurt_term) if math.isfinite(skew_term + kurt_term) else _DEGENERATE
 
 
 def lobato_test(s) -> LobatoResult:

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dist import InnovationLaw, sample
 from .errors import InvalidInputError, InvalidSpecError
@@ -217,6 +216,9 @@ def simulate_arma(spec: ArmaSpec, n: int, burn_in: int, rng: RngStream) -> Serie
 def _arma_filter(eps: np.ndarray, ar=(), ma=()) -> np.ndarray:
     """The recursion X_t = sum(ar_i X_{t-i}) + eps_t + sum(ma_j eps_{t-j})
     from zero state along the last axis of ``eps``."""
+    # imported here: scipy.signal pulls in most of scipy, and only a filter needs it
+    from scipy.signal import lfilter
+
     b = np.concatenate(([1.0], ma))
     a = np.concatenate(([1.0], np.negative(ar)))
     return lfilter(b, a, eps, axis=-1)

@@ -1,10 +1,15 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import norts
 from norts import ArmaSpec, RngStream, read_series_csv, simulate_arma
 from norts import test_dispatch as dispatch  # alias keeps pytest collection away
 from norts.cli import build_parser, main
@@ -229,6 +234,35 @@ class TestCheckCommand:
         ]) == 0
         for name in ("residuals.csv", "hist.csv", "qq.csv", "acf.csv"):
             assert (out_dir / name).exists()
+
+    def test_out_without_plot_data_is_3(self, gaussian_csv, tmp_path, capsys, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["check", "--normality", "lobato", "--out", ".", str(gaussian_csv)]) == 3
+        captured = capsys.readouterr()
+        assert "norts: invalid input: --out needs --plot-data" in captured.err
+        assert captured.out == ""
+        assert list(cwd.iterdir()) == []
+        # --plot-data alone writes to the working directory
+        assert main(["check", "--normality", "lobato", "--seed", "5", "--plot-data", str(gaussian_csv)]) == 0
+        assert sorted(p.name for p in cwd.iterdir()) == ["acf.csv", "hist.csv", "qq.csv", "residuals.csv"]
+
+
+def test_check_does_not_load_scipy_signal(gaussian_csv):
+    # scipy.signal pulls in most of scipy; only the ARMA filter needs it
+    code = (
+        "import sys, norts\n"
+        "assert 'scipy.signal' not in sys.modules, 'import norts'\n"
+        "from norts.cli import main\n"
+        "argv = ['check', '--unit-root', 'adf', '--normality', 'rp', '--k', '4', '--seed', '1', sys.argv[1]]\n"
+        "assert main(argv) == 0\n"
+        "assert 'scipy.signal' not in sys.modules, 'norts check'\n"
+    )
+    path = [str(Path(norts.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    r = subprocess.run([sys.executable, "-c", code, str(gaussian_csv)], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 class TestSimulateCommand:

@@ -145,7 +145,7 @@ CHECK_JSON_GOLDEN = (
         "stationarity_conclusion": "golden is stationary",
         "normality": _json_report(
             "k random projections test",
-            {"k": 64.0, "lobato": 34.91664437982491, "epps": 4.705740873449658},
+            {"k": 64.0, "lobato": 34.9166443798249, "epps": 4.705740873449658},
             9.132870736298149e-17, None,
         ),
         "normality_conclusion": "golden does not follow a Gaussian Process",

@@ -1,11 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from norts import (
     ArmaSpec,
-    chi2_sf,
     InnovationLaw,
     InvalidInputError,
     NumericDegeneracyError,
@@ -17,6 +18,8 @@ from norts import (
     run_scenario,
     simulate_arma,
 )
+from norts.lobato import _lobato_rows, _moments
+from norts.series import _normalized
 
 
 def fk_bruteforce(x, k):
@@ -69,33 +72,76 @@ def test_fk_hat_matches_bruteforce_property(values, k):
 
 
 def lobato_one_series(x):
-    """lobato_test's arithmetic on one series, step by step: numpy's array
-    power on the centred data and the lag products, Python's scalar power
-    on the moments and gamma(0)."""
+    """lobato_test's arithmetic on one series, step by step: products of
+    the centred data for the moments and of the lag pairs for the
+    studentization sums, Python's scalar power on the moments and gamma(0),
+    and one exp for the chi-square(2) tail."""
     n = len(x)
     d = x - np.mean(x)
-    mu2, mu3, mu4 = (float(np.mean(d**k)) for k in (2, 3, 4))
+    d2 = d * d
+    mu2, mu3, mu4 = (float(np.mean(v)) for v in (d2, d2 * d, d2 * d2))
     g = np.correlate(d, d, mode="full")[n - 1 :] / n
     tail = g[1:]
-    f3, f4 = (float(g[0] ** k + 2.0 * np.sum(tail * (tail + tail[::-1]) ** (k - 1))) for k in (3, 4))
+    pair = tail + tail[::-1]
+    f3 = float(g[0] ** 3 + 2.0 * np.sum(tail * (pair * pair)))
+    f4 = float(g[0] ** 4 + 2.0 * np.sum(tail * (pair * pair * pair)))
     skew = n * mu3**2 / (6.0 * f3)
     kurt = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
-    return skew, kurt, chi2_sf(skew + kurt, 2)
+    return skew, kurt, float(np.exp(-(skew + kurt) / 2.0))
+
+
+KERNEL_LAWS = (
+    InnovationLaw.student_t(3),
+    InnovationLaw.lognormal(),
+    InnovationLaw.chi_squared(10),
+    InnovationLaw.normal(),
+)
 
 
 def test_rows_kernel_matches_one_series_arithmetic_bit_for_bit():
-    laws = (
-        InnovationLaw.student_t(3),
-        InnovationLaw.lognormal(),
-        InnovationLaw.chi_squared(10),
-        InnovationLaw.normal(),
-    )
     for i in range(400):
-        spec = ArmaSpec(ar=(0.3,), innovation=laws[i % 4])
+        spec = ArmaSpec(ar=(0.3,), innovation=KERNEL_LAWS[i % 4])
         s = simulate_arma(spec, 10 + 7 * (i % 41), 50, RngStream(i, stream_id=9))
         x = s.values * 10.0 ** (i % 11 - 5)
         r = lobato_test(x)
         assert (r.skewness_term, r.kurtosis_term, r.p_value) == lobato_one_series(x), i
+
+
+def test_rows_kernel_equals_lobato_test_row_by_row():
+    # each row is scaled on its own, so one block can hold every scale
+    scales = (1e-300, 1e-110, 1e-5, 1.0, 1e5, 1e150, 1e300)
+    x = np.array([
+        simulate_arma(ArmaSpec(ar=(0.3,), innovation=KERNEL_LAWS[i % 4]), 100, 50, RngStream(i, stream_id=10)).values
+        * scales[i % 7]
+        for i in range(400)
+    ])
+    x[7] = 3.0  # zero variance
+    x[11] = np.tile([0.0, 1.0], 50)  # F3 = 0 in exact arithmetic, negative here
+    rows = _lobato_rows(x)
+    raised = []
+    for i, row in enumerate(x):
+        try:
+            r = lobato_test(row)
+        except (InvalidInputError, NumericDegeneracyError):
+            raised.append(i)
+            assert np.isnan(rows[i, 2:]).all(), i
+            continue
+        assert rows[i, 2:].tolist() == [r.skewness_term, r.kurtosis_term, r.p_value], i
+    assert raised == [7, 11]
+
+
+@given(values=st.lists(st.floats(-10, 10, allow_nan=False), min_size=10, max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_moments_near_exact_fraction_moments(values):
+    # the kernel's moments, on the centred data at unit spread that it sees
+    assume(np.ptp(values) > 0.0)
+    x, _ = _normalized(values)
+    d = x - x.mean()
+    _, mu3, mu4 = (float(m[0]) for m in _moments(d[None, :]))
+    exact = [Fraction(v) for v in d.tolist()]
+    for k, mu in ((3, mu3), (4, mu4)):
+        scale = float(sum(abs(v) ** k for v in exact)) / len(exact)
+        assert abs(Fraction(mu) - sum(v**k for v in exact) / len(exact)) <= 1e-14 * scale
 
 
 class TestLobatoTest:
