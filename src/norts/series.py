@@ -105,12 +105,14 @@ def _normalized(s, minimum: int = MIN_TEST_LENGTH) -> tuple[np.ndarray, int]:
 def read_series_csv(path) -> Series:
     """Read a one-column CSV of reals; an optional header row is skipped.
 
-    The file is read as UTF-8, with or without a byte-order mark.  A file
-    that cannot be read or decoded, non-numeric cells (outside a first-line
-    header) and multi-column rows are rejected, the last two with the
+    The file is read as UTF-8, with or without a byte-order mark.  A first
+    line that is not a number is a header when the next non-empty line is
+    one.  A file that cannot be read or decoded, non-numeric cells (outside
+    such a header) and multi-column rows are rejected, the last two with the
     offending line number.
     """
     values = []
+    header = None  # a first line that is not a number, until the next line tells
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -125,11 +127,15 @@ def read_series_csv(path) -> Series:
         try:
             values.append(float(cells[0]))
         except ValueError:
-            if lineno == 1 and not values:
-                continue  # header row
+            if lineno == 1:
+                header = cells[0]
+                continue
+            if header is not None and not values:
+                lineno, cells = 1, [header]
             raise InvalidInputError(f"{path}: line {lineno}: non-numeric value {cells[0]!r}") from None
     if not values:
-        raise InvalidInputError(f"{path}: no numeric data found")
+        what = "no numeric data found" if header is None else f"line 1: non-numeric value {header!r}"
+        raise InvalidInputError(f"{path}: {what}")
     return Series(np.array(values))
 
 
@@ -213,15 +219,124 @@ def simulate_arma(spec: ArmaSpec, n: int, burn_in: int, rng: RngStream) -> Serie
     return Series(x[burn_in:])
 
 
+# Time steps per block of the row recursion with delay rows: each block is
+# filtered and transposed into the output on its own, so the temporaries
+# stay small whatever the length of the series.
+_STEPS = 64
+
+
 def _arma_filter(eps: np.ndarray, ar=(), ma=()) -> np.ndarray:
     """The recursion X_t = sum(ar_i X_{t-i}) + eps_t + sum(ma_j eps_{t-j})
-    from zero state along the last axis of ``eps``."""
-    # imported here: scipy.signal pulls in most of scipy, and only a filter needs it
-    from scipy.signal import lfilter
+    from zero state along the last axis of ``eps``.
 
-    b = np.concatenate(([1.0], ma))
-    a = np.concatenate(([1.0], np.negative(ar)))
-    return lfilter(b, a, eps, axis=-1)
+    The result equals scipy's ``lfilter((1, *ma), (1, *-ar), eps, axis=-1)``
+    element for element (an exact zero may differ in sign), because it does
+    lfilter's operations in lfilter's order.  With no AR terms that is
+    lfilter's own path: one ``np.convolve`` per series.  Otherwise it is
+    lfilter's transposed direct form II, with m = max(p, q) delays z (zero
+    at the start) and both coefficient lists padded with zeros to length m.
+    At each step t:
+
+        y_t = z_0 + x_t
+        z_i <- (z_{i+1} + theta_{i+1} x_t) + phi_{i+1} y_t    (i < m - 1)
+        z_{m-1} <- theta_m x_t + phi_m y_t
+
+    lfilter's ``- a_i y_t`` with a = (1, -phi) is exactly ``+ phi_i y_t``.
+    A pure AR filter skips the products theta x_t = x_t * 0.  They can only
+    flip the sign of an exact zero, unless x_t is not finite and x_t * 0 is
+    NaN.  So when some output is not finite, the recursion runs again with
+    them.
+    """
+    eps = np.asarray(eps, dtype=float)
+    p, q = len(ar), len(ma)
+    if p == q == 0:
+        return eps + 0.0  # np.convolve((1.0,), e) is 0.0 + 1.0 * e
+    if p == 0:
+        b = np.array((1.0, *ma))
+        return np.apply_along_axis(lambda e: np.convolve(b, e)[: e.size], -1, eps)
+    m = max(p, q)
+    phi = np.zeros(m)
+    phi[:p] = ar
+    theta = np.zeros(m)
+    theta[:q] = ma
+    run = _filter_one if eps.ndim == 1 else _filter_rows
+    with np.errstate(all="ignore"):  # as in lfilter, inf and NaN pass silently
+        y = run(eps, phi, theta if q else None)
+        # a value that is not finite never turns finite again along a series
+        if q or np.isfinite(y[..., -1:]).all():
+            return y
+        return run(eps, phi, theta)
+
+
+def _filter_one(x: np.ndarray, phi: np.ndarray, theta) -> np.ndarray:
+    """:func:`_arma_filter` on one series in Python floats, term for term as
+    :func:`_filter_rows` does it; no MA terms when ``theta`` is None."""
+    xs = x.tolist()
+    n, m = len(xs), phi.size
+    acc = [0.0] * (n + m)
+    phi = phi.tolist()
+    if theta is None:
+        earlier = list(enumerate(phi[:-1], 1))
+        for t, xt in enumerate(xs):
+            y = acc[t] = acc[t] + xt
+            acc[t + m] = phi[-1] * y
+            for j, f in earlier:
+                acc[t + j] += f * y
+    else:
+        theta = theta.tolist()
+        earlier = list(zip(range(1, m), theta, phi))
+        for t, xt in enumerate(xs):
+            y = acc[t] = acc[t] + xt
+            acc[t + m] = theta[-1] * xt + phi[-1] * y
+            for j, th, f in earlier:
+                acc[t + j] = (acc[t + j] + th * xt) + f * y
+    return np.array(acc[:n])
+
+
+def _filter_rows(eps: np.ndarray, phi: np.ndarray, theta) -> np.ndarray:
+    """:func:`_arma_filter` on every series along the last axis at once.
+
+    Each step is a few array operations across the series.  Row s of
+    ``acc`` gathers the terms of z_0 at step s, the oldest first, as
+    lfilter's delays pass them down; the row then becomes y_s in place.  A
+    row starts from -0.0, which leaves the first term as it is, except the
+    first m rows, which start from lfilter's zero state.  Each block of
+    steps is transposed into the output on its own.
+    """
+    x = eps.reshape(int(np.prod(eps.shape[:-1])), eps.shape[-1])
+    rows, n = x.shape
+    m = phi.size
+    if m == 1 and theta is None:
+        # y_t = x_t + phi y_{t-1} needs no delay rows: it runs in place on a
+        # copy of x, column by column, with no transpose
+        y = x.copy()
+        y[:, :1] += 0.0  # y_0 = 0.0 + x_0
+        columns = list(y.T)
+        f, term = np.array(phi[0]), np.empty(rows)  # a 0-d array multiplies faster than a float
+        for previous, column in zip(columns, columns[1:]):
+            np.multiply(previous, f, out=term)
+            column += term
+        return y.reshape(eps.shape)
+    y = np.empty_like(x)
+    acc = np.zeros((_STEPS + m, rows))
+    buf = np.empty((m, rows))
+    phi_col = phi[:, None]
+    theta_col = None if theta is None else theta[:, None]
+    windows = [acc[t + 1 : t + 1 + m] for t in range(_STEPS)]
+    for start in range(0, n, _STEPS):
+        xs = x.T[start : start + _STEPS]
+        acc[m:] = -0.0
+        for xt, yt, window in zip(xs, acc, windows):
+            yt += xt
+            if theta_col is not None:
+                np.multiply(theta_col, xt, out=buf)
+                window += buf
+            np.multiply(phi_col, yt, out=buf)
+            window += buf
+        steps = len(xs)
+        y[:, start : start + steps] = acc[:steps].T
+        acc[:m] = acc[steps : steps + m]
+    return y.reshape(eps.shape)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,13 @@ class TestExitCodes:
         assert main(["test", "--method", "lobato", str(p)]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_unparsed_first_value_is_3_at_line_1(self, tmp_path, capsys):
+        # a first line that does not parse is a header only before a number
+        p = tmp_path / "repr.csv"
+        p.write_text("".join(f"np.float64({float(i)})\n" for i in range(50)))
+        assert main(["test", "--method", "lobato", str(p)]) == 3
+        assert f"invalid input: {p}: line 1: non-numeric value 'np.float64(0.0)'" in capsys.readouterr().err
+
     def test_undecodable_file_is_3(self, tmp_path, capsys):
         p = tmp_path / "latin.csv"
         p.write_bytes(b"valu\xe9\n" + "\n".join(str(float(i % 7)) for i in range(50)).encode())
@@ -249,20 +256,47 @@ class TestCheckCommand:
         assert sorted(p.name for p in cwd.iterdir()) == ["acf.csv", "hist.csv", "qq.csv", "residuals.csv"]
 
 
+def run_fresh(code, *args):
+    """Run ``code`` in a new interpreter that imports this norts."""
+    path = [str(Path(norts.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    r = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
 def test_check_does_not_load_scipy_signal(gaussian_csv):
-    # scipy.signal pulls in most of scipy; only the ARMA filter needs it
-    code = (
+    # scipy.signal pulls in most of scipy, and norts needs none of it
+    run_fresh(
         "import sys, norts\n"
         "assert 'scipy.signal' not in sys.modules, 'import norts'\n"
         "from norts.cli import main\n"
         "argv = ['check', '--unit-root', 'adf', '--normality', 'rp', '--k', '4', '--seed', '1', sys.argv[1]]\n"
         "assert main(argv) == 0\n"
-        "assert 'scipy.signal' not in sys.modules, 'norts check'\n"
+        "assert 'scipy.signal' not in sys.modules, 'norts check'\n",
+        gaussian_csv,
     )
-    path = [str(Path(norts.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    r = subprocess.run([sys.executable, "-c", code, str(gaussian_csv)], env=env, capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
+
+
+def test_filters_do_not_load_scipy_signal(tmp_path):
+    # every ARMA filter runs in numpy: the simulate grid, vavra's sieve
+    # bootstrap and simulate_arma with MA terms
+    ar_csv = tmp_path / "ar.csv"
+    ar_csv.write_text("\n".join(map(str, simulate_arma(ArmaSpec(ar=(0.6,)), 300, 100, RngStream(9)).values)))
+    run_fresh(
+        "import sys\n"
+        "from norts import ArmaSpec, RngStream, simulate_arma\n"
+        "from norts.cli import main\n"
+        "argv = ['simulate', '--n', '50', '--m', '4', '--phis', '0.4', '--laws', 'normal',\n"
+        "        '--seed', '1', '--quiet', '--out', sys.argv[2]]\n"
+        "assert main(argv) == 0\n"
+        "assert 'scipy.signal' not in sys.modules, 'norts simulate'\n"
+        "assert main(['test', '--method', 'vavra', '--reps', '20', '--seed', '1', sys.argv[1]]) == 0\n"
+        "assert 'scipy.signal' not in sys.modules, 'norts test --method vavra'\n"
+        "simulate_arma(ArmaSpec(ar=(0.5,), ma=(0.3,)), 100, 20, RngStream(1))\n"
+        "assert 'scipy.signal' not in sys.modules, 'simulate_arma'\n",
+        ar_csv,
+        tmp_path / "grid.csv",
+    )
 
 
 class TestSimulateCommand:

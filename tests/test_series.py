@@ -188,6 +188,18 @@ class TestCsvReader:
         p.write_text("value\n1.0\n2.0\n")
         np.testing.assert_array_equal(read_series_csv(p).values, [1.0, 2.0])
 
+    def test_short_header_before_numbers(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("x\n1.0\n\n2.0\n")
+        np.testing.assert_array_equal(read_series_csv(p).values, [1.0, 2.0])
+
+    @pytest.mark.parametrize("text", ["np.float64(0.0)\nnp.float64(1.0)\n2.0\n", "np.float64(0.0)\n\n"])
+    def test_first_line_without_a_number_after_it_is_an_error(self, tmp_path, text):
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        with pytest.raises(InvalidInputError, match=r"line 1: non-numeric value 'np\.float64\(0\.0\)'$"):
+            read_series_csv(p)
+
     def test_non_numeric_cell_reports_line(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("1.0\nbogus\n3.0\n")
