@@ -219,12 +219,6 @@ def simulate_arma(spec: ArmaSpec, n: int, burn_in: int, rng: RngStream) -> Serie
     return Series(x[burn_in:])
 
 
-# Time steps per block of the row recursion with delay rows: each block is
-# filtered and transposed into the output on its own, so the temporaries
-# stay small whatever the length of the series.
-_STEPS = 64
-
-
 def _arma_filter(eps: np.ndarray, ar=(), ma=()) -> np.ndarray:
     """The recursion X_t = sum(ar_i X_{t-i}) + eps_t + sum(ma_j eps_{t-j})
     from zero state along the last axis of ``eps``.
@@ -300,43 +294,25 @@ def _filter_rows(eps: np.ndarray, phi: np.ndarray, theta) -> np.ndarray:
     ``acc`` gathers the terms of z_0 at step s, the oldest first, as
     lfilter's delays pass them down; the row then becomes y_s in place.  A
     row starts from -0.0, which leaves the first term as it is, except the
-    first m rows, which start from lfilter's zero state.  Each block of
-    steps is transposed into the output on its own.
+    first m rows, which start from lfilter's zero state.
     """
     x = eps.reshape(int(np.prod(eps.shape[:-1])), eps.shape[-1])
     rows, n = x.shape
     m = phi.size
-    if m == 1 and theta is None:
-        # y_t = x_t + phi y_{t-1} needs no delay rows: it runs in place on a
-        # copy of x, column by column, with no transpose
-        y = x.copy()
-        y[:, :1] += 0.0  # y_0 = 0.0 + x_0
-        columns = list(y.T)
-        f, term = np.array(phi[0]), np.empty(rows)  # a 0-d array multiplies faster than a float
-        for previous, column in zip(columns, columns[1:]):
-            np.multiply(previous, f, out=term)
-            column += term
-        return y.reshape(eps.shape)
-    y = np.empty_like(x)
-    acc = np.zeros((_STEPS + m, rows))
+    acc = np.zeros((n + m, rows))
+    acc[m:] = -0.0
     buf = np.empty((m, rows))
     phi_col = phi[:, None]
     theta_col = None if theta is None else theta[:, None]
-    windows = [acc[t + 1 : t + 1 + m] for t in range(_STEPS)]
-    for start in range(0, n, _STEPS):
-        xs = x.T[start : start + _STEPS]
-        acc[m:] = -0.0
-        for xt, yt, window in zip(xs, acc, windows):
-            yt += xt
-            if theta_col is not None:
-                np.multiply(theta_col, xt, out=buf)
-                window += buf
-            np.multiply(phi_col, yt, out=buf)
+    for t, xt in enumerate(x.T):
+        yt, window = acc[t], acc[t + 1 : t + 1 + m]
+        yt += xt
+        if theta_col is not None:
+            np.multiply(theta_col, xt, out=buf)
             window += buf
-        steps = len(xs)
-        y[:, start : start + steps] = acc[:steps].T
-        acc[:m] = acc[steps : steps + m]
-    return y.reshape(eps.shape)
+        np.multiply(phi_col, yt, out=buf)
+        window += buf
+    return np.ascontiguousarray(acc[:n].T).reshape(eps.shape)
 
 
 @dataclass(frozen=True)

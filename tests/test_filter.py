@@ -14,7 +14,7 @@ from norts import ArmaSpec, InnovationLaw, RngStream, simulate_arma
 from norts import series
 from norts.series import _arma_filter
 
-# 1-D, 2-D and 3-D; lengths that end inside a block of series._STEPS steps
+# 1-D, 2-D and 3-D
 SHAPES = [(257,), (9, 130), (2, 3, 70)]
 
 
@@ -52,14 +52,6 @@ def test_near_unit_root(ma):
     for shape in [(1100,), (20, 1100)]:
         assert_same_as_lfilter(rng.standard_normal(shape), (0.99,), ma)
         assert_same_as_lfilter(rng.standard_normal(shape), (1.5, -0.51), ma)
-
-
-def test_order_beyond_one_block():
-    rng = np.random.default_rng(7)
-    m = series._STEPS + 6
-    for ar, ma in [(coefficients(rng, m), ()), (coefficients(rng, 3), tuple(rng.uniform(-1, 1, m)))]:
-        for shape in [(300,), (4, 300)]:
-            assert_same_as_lfilter(rng.standard_normal(shape), ar, ma)
 
 
 @pytest.mark.parametrize(
