@@ -35,7 +35,7 @@ __all__ = [
 
 MAX_GRID_SIZE = 8
 PINV_RCOND = 1e-10
-# Settings of the damped Newton search (see _minimize_qn).  Damping is
+# Settings of the damped Newton search (see _search).  Damping is
 # relative to the Hessian's spectral radius; a step of NEWTON_MAX_STEP moves
 # the mean by one sample standard deviation or the variance by a factor e.
 NEWTON_MAXITER = 100
@@ -178,9 +178,22 @@ def qn(s, theta: ThetaParams, lam: Lambda) -> float:
     return float(v @ weight @ v)
 
 
-def _minimize_qn(ghat, weight, mu0, g0, pts):
-    """Damped Newton search for the minimum of q(u) = v' W v.
+def _newton_step(hessian, shift: float):
+    """The step s solving (H + shift * scale * I) s = -grad, from a row's
+    (grad0, grad1, H / scale, scale, H's eigenvalues / scale); H / scale has
+    its eigenvalues in [-1, 1], so no product over- or underflows."""
+    grad0, grad1, h00, h01, h11, scale, lowest, highest = hessian
+    det = (lowest + shift) * (highest + shift)
+    s0 = (h01 * grad1 - (h11 + shift) * grad0) / det / scale
+    s1 = (h01 * grad0 - (h00 + shift) * grad1) / det / scale
+    return s0, s1
 
+
+def _search(stack) -> list:
+    """Damped Newton search for the minimum of q(u) = v' W v, on a stack of rows.
+
+    Each row of ``stack`` is a (ghat, W, mu0, g0, pts) of :func:`_prepare`:
+    its own moments, weight, start and grid; the rows share the grid size.
     v = ghat - g_theta(mu0 + u0 sd, g0 exp(u1)) in standardized coordinates
     u = (u0, u1), started at u = 0.  The gradient -2 J'Wv and the Hessian
     2 J'WJ - 2 sum_k (Wv)_k grad^2 g_k are closed-form in the cosine, sine
@@ -194,116 +207,155 @@ def _minimize_qn(ghat, weight, mu0, g0, pts):
     taken.  Trial points whose variance or damping overflows, underflows to
     zero or makes q non-finite count as failed steps.
 
-    Returns (mu, sigma2, q, converged).  ``converged`` means the Hessian is
-    positive definite where the search stopped and a Newton step from there
-    would lower q by at most ``NEWTON_RTOL`` * q.  Otherwise the search used
-    up ``NEWTON_MAXITER`` trial points or could make no representable move,
-    and the lowest point found is returned.
+    Each round is one step of every row still searching.  The form at the
+    rows' trial points and its derivatives at their current points are
+    computed for all of them at once, by stacked matmuls (BLAS's dot and
+    matrix-vector kernels on each row); each row's 2x2 algebra, damping and
+    stop run in Python floats.  A row leaves the stack when it stops, so its
+    result does not depend on the other rows.
+
+    Returns one (mu, sigma2, q, converged) per row.  ``converged`` means the
+    Hessian is positive definite where the search stopped and a Newton step
+    from there would lower q by at most ``NEWTON_RTOL`` * q.  Otherwise the
+    search used up ``NEWTON_MAXITER`` trial points or could make no
+    representable move, and the lowest point found is returned.
     """
-    size = pts.size
+    if not stack:
+        return []
+    ghat, weight, mu0, g0, pts = map(np.array, zip(*stack))
+    size = pts.shape[1]
     order = np.arange(2 * size).reshape(size, 2).T.ravel()
-    ghat = ghat[order]
-    weight = weight[np.ix_(order, order)]
     sd = np.sqrt(g0)
-    b = pts * sd
+    # the constants of the rows still searching, one row each; the matmuls
+    # equal the one-row products only on C-contiguous operands
+    weight = np.ascontiguousarray(weight[:, order[:, None], order])
+    b = pts * sd[:, None]
+    rows = [np.ascontiguousarray(ghat[:, order]), weight, mu0, g0, sd, pts, pts * pts, b, -b, b * b]
+    ids = list(range(len(g0)))
+    found: list = [None] * len(ids)
 
     def evaluate(u0, u1):
         # cosine block first, then sine block, to match the reordered W
-        with np.errstate(over="ignore", invalid="ignore"):
-            sigma2 = g0 * np.exp(u1)
-            a = pts * pts * sigma2 / 2.0
-            damp = np.exp(-a)
-            ang = pts * (mu0 + u0 * sd)
-            gc = damp * np.cos(ang)
-            gs = damp * np.sin(ang)
-            v = ghat - np.concatenate((gc, gs))
-            q = float(v @ weight @ v)
-        if not (np.isfinite(q) and 0.0 < sigma2 < np.inf and np.isfinite(a).all()):
-            return None
-        return q, v, gc, gs, a
+        ghat, weight, mu0, g0, sd, pts, pts2, *_ = rows
+        sigma2 = g0 * np.exp(u1)
+        a = pts2 * sigma2[:, None] / 2.0
+        damp = np.exp(-a)
+        ang = pts * (mu0 + u0 * sd)[:, None]
+        gc = damp * np.cos(ang)
+        gs = damp * np.sin(ang)
+        v = ghat - np.concatenate((gc, gs), axis=1)
+        q = (v[:, None, :] @ weight @ v[:, :, None])[:, 0, 0]
+        q = q.tolist()
+        ok = [math.isfinite(qk) and 0.0 < s2 < math.inf and finite
+              for qk, s2, finite in zip(q, sigma2.tolist(), np.isfinite(a).all(axis=1).tolist())]
+        return ok, q, [v, gc, gs, a]
 
-    def step(shift):
-        # solves (H + shift * scale * I) s = -grad from H / scale, whose
-        # eigenvalues lie in [-1, 1], so no product over- or underflows
-        det = (lowest + shift) * (highest + shift)
-        s0 = (h01 * grad1 - (h11 + shift) * grad0) / det / scale
-        s1 = (h01 * grad0 - (h00 + shift) * grad1) / det / scale
-        return s0, s1
+    def derivatives():
+        # per row: the dots b'qs, a'pc, (b*b)'pc, (a*b)'qs, (a*pc)'(a - 1),
+        # then J'WJ, for grad = 2 (b'qs, a'pc) and the Hessian
+        weight, b, minus_b, b2 = rows[1], *rows[-3:]
+        v, gc, gs, a = point
+        w = (weight @ v[:, :, None])[:, :, 0]
+        wc, ws = w[:, :size], w[:, size:]
+        pc = wc * gc + ws * gs
+        qs = wc * gs - ws * gc
+        minus_a = -a
+        jac_t = np.concatenate((minus_b * gs, b * gc, minus_a * gc, minus_a * gs), axis=1)
+        jac_t = jac_t.reshape(-1, 2, 2 * size)
+        jwj = jac_t @ weight @ jac_t.transpose(0, 2, 1)
+        left = np.concatenate((b, a, b2, a * b, a * pc), axis=1).reshape(-1, 5, 1, size)
+        right = np.concatenate((qs, pc, pc, qs, a - 1.0), axis=1).reshape(-1, 5, size, 1)
+        return (left @ right).reshape(-1, 5).tolist(), jwj.reshape(-1, 4).tolist()
 
-    u0 = u1 = 0.0
-    q, v, gc, gs, a = evaluate(u0, u1)
-    damping = 0.0
-    converged = False
-    fresh = True
-    for _ in range(NEWTON_MAXITER):
-        if fresh:
-            w = weight @ v
-            pc = w[:size] * gc + w[size:] * gs
-            qs = w[:size] * gs - w[size:] * gc
-            jac = np.empty((2 * size, 2))
-            jac[:size, 0] = -b * gs
-            jac[size:, 0] = b * gc
-            jac[:size, 1] = -a * gc
-            jac[size:, 1] = -a * gs
-            jwj = jac.T @ weight @ jac
-            grad0 = 2.0 * float(b @ qs)
-            grad1 = 2.0 * float(a @ pc)
-            h00 = 2.0 * float(jwj[0, 0] + (b * b) @ pc)
-            h01 = 2.0 * float(jwj[0, 1] - (a * b) @ qs)
-            h11 = 2.0 * float(jwj[1, 1] - (a * pc) @ (a - 1.0))
-            mid = (h00 + h11) / 2.0
-            half_gap = math.hypot((h00 - h11) / 2.0, h01)
-            scale = abs(mid) + half_gap
-            if not 0.0 < scale < math.inf:
-                break
-            h00, h01, h11 = h00 / scale, h01 / scale, h11 / scale
-            lowest = (mid - half_gap) / scale
-            highest = (mid + half_gap) / scale
-            if lowest > 0.0:
-                s0, s1 = step(0.0)
-                if -(grad0 * s0 + grad1 * s1) <= 2.0 * NEWTON_RTOL * q:
-                    trial = evaluate(u0 + s0, u1 + s1)
-                    if trial is not None and trial[0] < q:
-                        u0, u1, q = u0 + s0, u1 + s1, trial[0]
-                    converged = True
-                    break
-        if lowest > 0.0:
-            s0, s1 = step(damping)
-        else:
-            s0, s1 = step(max(damping, NEWTON_MIN_DAMPING) - 2.0 * lowest)
-        longest = max(abs(s0), abs(s1))
-        if longest > NEWTON_MAX_STEP:
-            s0, s1 = s0 * (NEWTON_MAX_STEP / longest), s1 * (NEWTON_MAX_STEP / longest)
-        trial = evaluate(u0 + s0, u1 + s1)
-        fresh = trial is not None and trial[0] < q
-        if fresh:
-            u0, u1 = u0 + s0, u1 + s1
-            q, v, gc, gs, a = trial
-            damping /= 10.0
-        elif u0 + s0 == u0 and u1 + s1 == u1:
-            break
-        else:
-            damping = max(10.0 * damping, NEWTON_MIN_DAMPING)
-    return mu0 + u0 * sd, g0 * np.exp(u1), q, converged
+    def finish(k, converged):
+        found[ids[k]] = (rows[2][k] + u0[k] * rows[4][k], rows[3][k] * np.exp(u1[k]), q[k], converged)
+
+    # a trial point whose variance or damping overflows, or whose q is not
+    # finite, is a failed step, and is rejected without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        u0, u1 = [0.0] * len(ids), [0.0] * len(ids)
+        _, q, point = evaluate(np.zeros(len(ids)), np.zeros(len(ids)))
+        damping = [0.0] * len(ids)
+        fresh = [True] * len(ids)
+        hessian: list = [None] * len(ids)  # each row's (grad0, grad1, H / scale, ...)
+        for _ in range(NEWTON_MAXITER):
+            if any(fresh):
+                dots, jwj = derivatives()
+            stopped, closing, t0, t1 = {}, set(), list(u0), list(u1)
+            for k in range(len(ids)):
+                if fresh[k]:
+                    (bqs, apc, bbpc, abqs, apca), (j00, j01, _, j11) = dots[k], jwj[k]
+                    h00 = 2.0 * (j00 + bbpc)
+                    h01 = 2.0 * (j01 - abqs)
+                    h11 = 2.0 * (j11 - apca)
+                    mid = (h00 + h11) / 2.0
+                    half_gap = math.hypot((h00 - h11) / 2.0, h01)
+                    scale = abs(mid) + half_gap
+                    if not 0.0 < scale < math.inf:
+                        stopped[k] = False
+                        continue
+                    lowest = (mid - half_gap) / scale
+                    hessian[k] = (2.0 * bqs, 2.0 * apc, h00 / scale, h01 / scale, h11 / scale, scale,
+                                  lowest, (mid + half_gap) / scale)
+                    if lowest > 0.0:
+                        s0, s1 = _newton_step(hessian[k], 0.0)
+                        if -(hessian[k][0] * s0 + hessian[k][1] * s1) <= 2.0 * NEWTON_RTOL * q[k]:
+                            # a full Newton step lowers q by at most the tolerance:
+                            # take it if it lowers q at all, and stop
+                            closing.add(k)
+                            t0[k], t1[k] = u0[k] + s0, u1[k] + s1
+                            continue
+                lowest = hessian[k][6]
+                if lowest > 0.0:
+                    s0, s1 = _newton_step(hessian[k], damping[k])
+                else:
+                    s0, s1 = _newton_step(hessian[k], max(damping[k], NEWTON_MIN_DAMPING) - 2.0 * lowest)
+                longest = max(abs(s0), abs(s1))
+                if longest > NEWTON_MAX_STEP:
+                    s0, s1 = s0 * (NEWTON_MAX_STEP / longest), s1 * (NEWTON_MAX_STEP / longest)
+                t0[k], t1[k] = u0[k] + s0, u1[k] + s1
+            ok, tq, trial = evaluate(np.array(t0), np.array(t1))
+            lower = [okk and tqk < qk for okk, tqk, qk in zip(ok, tq, q)]
+            for k in range(len(ids)):
+                if k in stopped:
+                    continue
+                if lower[k]:
+                    u0[k], u1[k], q[k] = t0[k], t1[k], tq[k]
+                if k in closing:
+                    stopped[k] = True
+                elif lower[k]:
+                    damping[k] /= 10.0
+                elif t0[k] == u0[k] and t1[k] == u1[k]:
+                    stopped[k] = False
+                else:
+                    damping[k] = max(10.0 * damping[k], NEWTON_MIN_DAMPING)
+                fresh[k] = lower[k]
+            if all(lower):
+                point = trial
+            elif any(lower):
+                for current, new in zip(point, trial):
+                    current[lower] = new[lower]
+            for k, converged in stopped.items():
+                finish(k, converged)
+            if stopped:
+                keep = [k for k in range(len(ids)) if k not in stopped]
+                if not keep:
+                    return found
+                rows = [c[keep] for c in rows]
+                point = [c[keep] for c in point]
+                ids, u0, u1, q, damping, fresh, hessian = (
+                    [x[k] for k in keep] for x in (ids, u0, u1, q, damping, fresh, hessian)
+                )
+    for k in range(len(ids)):
+        finish(k, False)
+    return found
 
 
-def epps_test(s, lam: Lambda | None = None) -> EppsResult:
-    """Characteristic-function normality test.
-
-    Minimizes the quadratic form over the normal parameters by a damped
-    Newton search (see :func:`_minimize_qn`) started at the sample mean and
-    variance, with the variance kept positive through a log
-    parameterization.  The search runs in standardized coordinates
-    (offsets in units of the sample standard deviation) so the search path
-    is the same for affinely mapped data.
-
-    The degrees of freedom are the rank of the pseudo-inverted long-run
-    covariance minus 2; a rank of 2 or less leaves nothing to test and
-    raises :class:`NumericDegeneracyError`.  Returns a result with
-    ``converged=False`` when the search stops before its convergence test
-    holds; the statistic is then n times the lowest form found, and the
-    p-value is still reported.
-    """
+def _prepare(s, lam: Lambda | None = None):
+    """:func:`epps_test` up to the search, on one series: the input gate, the
+    grid, the sample moments and the pseudo-inverted long-run covariance,
+    and the rank check.  Returns (n, scale, rank, row), where ``row`` is one
+    row of :func:`_search`'s input (ghat, weight, mu0, g0, pts)."""
     x, scale = _normalized(s)
     n = x.size
     mu = float(np.mean(x))
@@ -331,7 +383,14 @@ def epps_test(s, lam: Lambda | None = None) -> EppsResult:
             f"long-run covariance of the {2 * lam.size} moment conditions has rank "
             f"{rank}; more than 2 are needed to test 2 fitted parameters"
         )
-    mu_hat, sigma2_hat, q, converged = _minimize_qn(ghat, weight, mu, g0, np.asarray(lam.points))
+    return n, scale, rank, (ghat, weight, mu, g0, np.asarray(lam.points))
+
+
+def _result(prepared, found) -> EppsResult:
+    """The :class:`EppsResult` of a :func:`_prepare` output and its row of
+    :func:`_search`."""
+    n, scale, rank, _ = prepared
+    mu_hat, sigma2_hat, q, converged = found
     stat = max(0.0, n * q)
     df = rank - 2
     with np.errstate(over="ignore"):
@@ -343,3 +402,24 @@ def epps_test(s, lam: Lambda | None = None) -> EppsResult:
         theta_hat=theta_hat,
         converged=converged,
     )
+
+
+def epps_test(s, lam: Lambda | None = None) -> EppsResult:
+    """Characteristic-function normality test.
+
+    Minimizes the quadratic form over the normal parameters by a damped
+    Newton search (see :func:`_search`, here on a stack of one row) started
+    at the sample mean and variance, with the variance kept positive through
+    a log parameterization.  The search runs in standardized coordinates
+    (offsets in units of the sample standard deviation) so the search path
+    is the same for affinely mapped data.
+
+    The degrees of freedom are the rank of the pseudo-inverted long-run
+    covariance minus 2; a rank of 2 or less leaves nothing to test and
+    raises :class:`NumericDegeneracyError`.  Returns a result with
+    ``converged=False`` when the search stops before its convergence test
+    holds; the statistic is then n times the lowest form found, and the
+    p-value is still reported.
+    """
+    prepared = _prepare(s, lam)
+    return _result(prepared, _search([prepared[3]])[0])

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import InnovationLaw, sample
-from .epps import epps_test
+from .dist import InnovationLaw, _quantile
+from .epps import _prepare, _result, _search
 from .errors import InvalidInputError, NortsError, NumericDegeneracyError
 from .lobato import lobato_test
 from .rng import RngStream
@@ -35,6 +35,10 @@ STICK_CAP = 10_000
 TRUNCATION_MASS = 1.0 - 1e-9
 _DRAW_ATTEMPTS = 100
 _STICK_CHUNK = 32
+# Chunks of uniforms that rp_test draws for every direction at once; a
+# beta(2, 7) direction takes 60 to 100 sticks, within four chunks.
+_BATCH_CHUNKS = 4
+_UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class ProjectionVector:
         if np.any(~np.isfinite(w)) or np.any(w < 0):
             raise InvalidInputError("projection weights must be finite and non-negative")
         norm2 = float(np.sum(w * w))
-        if abs(norm2 - 1.0) > 1e-9:
+        if abs(norm2 - 1.0) > _UNIT_NORM_TOL:
             raise InvalidInputError(f"projection weights must have unit l2 norm, got {norm2:.12g}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -102,33 +106,109 @@ class RpResult:
     per_projection: tuple[tuple[str, float, float], ...]
 
 
+def _directions(law: InnovationLaw, first: np.ndarray, more, n: int | None = None) -> list:
+    """Beta stick-breaking directions, one per row of the uniforms ``first``.
+
+    Row r breaks sticks w_j = v_j * prod(1 - v_i, i < j), the v_j being the
+    ``law`` quantiles of its uniforms: ``first[r]`` (whole chunks of
+    ``_STICK_CHUNK``), then the chunks the iterator ``more(r)`` yields.
+    Sticks are taken until their total reaches ``TRUNCATION_MASS``, and the
+    retained sticks are renormalized and square-rooted so the weights have
+    unit l2 norm.  A direction uses whole chunks, so a redraw starts at the
+    next chunk.  With ``n``, a direction spanning so many lags that fewer
+    than ``MIN_TEST_LENGTH`` of the ``n`` points would remain is redrawn, up
+    to ``_DRAW_ATTEMPTS`` times: the direction law is independent of the
+    data, so conditioning on a usable length keeps the tests exact under the
+    null.
+
+    Each round inverts the next chunk of every row still drawing in one
+    call and accumulates its sticks and their total with ``np.cumprod`` and
+    ``np.cumsum``, left to right as one stick at a time does.  Returns, in
+    row order, each row's weights up to and including the first row whose
+    draw fails, whose entry is a :class:`NumericDegeneracyError` where
+    ``STICK_CAP`` sticks do not reach the mass, or None where every attempt
+    spanned too many lags; the rows after it are given up.
+    """
+    rows = first.shape[0]
+    chunks = first.reshape(rows, -1, _STICK_CHUNK)
+    out: list = [None] * rows
+    streams: dict = {}
+    at = [0] * rows  # each row's next chunk
+    attempts = [0] * rows
+    remaining, total = [1.0] * rows, [0.0] * rows
+    parts: list = [[] for _ in range(rows)]  # sticks of each row's attempt, by chunk
+    live, waiting, limit = list(range(rows)), [], rows
+    while live:
+        u = np.empty((len(live), _STICK_CHUNK))
+        for j, r in enumerate(live):
+            if at[r] < chunks.shape[1]:
+                u[j] = chunks[r, at[r]]
+            else:
+                u[j] = next(streams.setdefault(r, more(r)))
+        v = _quantile(law, u)
+        left = np.empty((len(live), _STICK_CHUNK + 1))
+        left[:, 0] = [remaining[r] for r in live]
+        np.subtract(1.0, v, out=left[:, 1:])
+        np.cumprod(left, axis=1, out=left)
+        w = v * left[:, :-1]
+        sums = np.empty_like(left)
+        sums[:, 0] = [total[r] for r in live]
+        sums[:, 1:] = w
+        np.cumsum(sums, axis=1, out=sums)
+        # column 0 holds the total so far, below the mass: argmax 0 means no hit
+        hits = (sums >= TRUNCATION_MASS).argmax(axis=1).tolist()
+        going = []
+        for j, r in enumerate(live):
+            at[r] += 1
+            parts[r].append(w[j])
+            # the number of sticks this attempt takes if the mass is reached
+            # in this chunk; one more than the chunk holds if it is not
+            size = _STICK_CHUNK * (len(parts[r]) - 1) + (hits[j] or _STICK_CHUNK + 1)
+            if size > STICK_CAP + 1:
+                out[r] = NumericDegeneracyError(
+                    f"stick-breaking with {law.label} failed to reach mass "
+                    f"{TRUNCATION_MASS} within {STICK_CAP} sticks"
+                )
+                limit = min(limit, r + 1)
+            elif not hits[j]:
+                remaining[r], total[r] = float(left[j, -1]), float(sums[j, -1])
+                going.append(r)
+            elif n is None or n - (size - 1) >= MIN_TEST_LENGTH:
+                weights = np.concatenate(parts[r])[:size]
+                out[r] = np.sqrt(weights / weights.sum())
+            elif attempts[r] + 1 < _DRAW_ATTEMPTS:
+                attempts[r] += 1
+                remaining[r], total[r], parts[r] = 1.0, 0.0, []
+                going.append(r)
+            else:
+                limit = min(limit, r + 1)
+        # a row past its first uniforms waits until every row before it is
+        # finished, so that the rows after a failing one waste little
+        pending = sorted(r for r in going + waiting if r < limit)
+        live = [r for k, r in enumerate(pending) if k == 0 or at[r] < chunks.shape[1]]
+        waiting = [r for k, r in enumerate(pending) if k > 0 and at[r] >= chunks.shape[1]]
+    return out[:limit]
+
+
 def stick_breaking_h(a: float, b: float, rng: RngStream) -> ProjectionVector:
-    """Draw a random direction by beta stick-breaking.
+    """Draw a random direction by beta stick-breaking from ``rng``.
 
     Sticks w_j = v_j * prod(1 - v_i, i < j) with v_j ~ Beta(a, b) are
     accumulated until their total reaches ``TRUNCATION_MASS``; the retained
     sticks are renormalized and square-rooted so the weights have unit l2
-    norm.
+    norm.  The uniforms are drawn ``_STICK_CHUNK`` at a time, and the
+    direction is :func:`_directions`'s on a batch of one.
     """
     law = InnovationLaw.beta(a, b)
-    sticks = []
-    total = 0.0
-    remaining = 1.0
-    while True:
-        v = sample(law, rng, size=_STICK_CHUNK)
-        for vj in v:
-            w = vj * remaining
-            sticks.append(w)
-            total += w
-            remaining *= 1.0 - vj
-            if total >= TRUNCATION_MASS:
-                weights = np.array(sticks)
-                return ProjectionVector(np.sqrt(weights / weights.sum()))
-            if len(sticks) > STICK_CAP:
-                raise NumericDegeneracyError(
-                    f"stick-breaking with beta({a:g},{b:g}) failed to reach mass "
-                    f"{TRUNCATION_MASS} within {STICK_CAP} sticks"
-                )
+
+    def more(r):
+        while True:
+            yield rng.uniform(_STICK_CHUNK)
+
+    [weights] = _directions(law, rng.uniform(_STICK_CHUNK)[None, :], more)
+    if isinstance(weights, NortsError):
+        raise weights
+    return ProjectionVector(weights)
 
 
 def project_series(s, h: ProjectionVector) -> Series:
@@ -163,20 +243,46 @@ def fdr_combine(pvalues) -> float:
     return float(min(1.0, adjusted.min()))
 
 
-def _draw_fitting_projection(
-    pars: tuple[float, float], rng: RngStream, n: int, index: int
-) -> ProjectionVector:
-    # Redraw directions that would leave fewer points than the marginal
-    # tests accept; the direction law is independent of the data, so
-    # conditioning on a usable length keeps the tests exact under the null.
-    for _ in range(_DRAW_ATTEMPTS):
-        h = stick_breaking_h(pars[0], pars[1], rng)
-        if n - (len(h) - 1) >= MIN_TEST_LENGTH:
-            return h
-    raise InvalidInputError(
-        f"projection {index + 1}: beta{pars} directions keep spanning more than "
-        f"the {n} available observations"
-    )
+def _half_directions(seed: RngStream, indices: range, pars: tuple[float, float], n: int) -> list:
+    """The directions of projections ``indices``, all drawn with beta ``pars``:
+    projection i breaks its sticks from sub-stream i of ``seed``.
+
+    The first ``_BATCH_CHUNKS`` chunks of every sub-stream come from one
+    :meth:`RngStream.uniform_rows` call; a row that needs more continues its
+    own sub-stream past them.  :class:`ProjectionVector`'s checks run on all
+    the directions at once, and a direction that fails them gets the error
+    :class:`ProjectionVector` raises.  Returns, in order, the weights of each
+    projection up to the first whose draw fails, and that one's error.
+    """
+    first = seed.uniform_rows(indices, _BATCH_CHUNKS * _STICK_CHUNK)
+
+    def more(r):
+        stream = seed.substream(indices[r])
+        stream.uniform(first.shape[1])  # the uniforms the batch drew
+        while True:
+            yield from stream.uniform(first.shape[1]).reshape(-1, _STICK_CHUNK)
+
+    out = _directions(InnovationLaw.beta(*pars), first, more, n)
+    if out[-1] is None:
+        out[-1] = InvalidInputError(
+            f"projection {indices[len(out) - 1] + 1}: beta{pars} directions keep spanning "
+            f"more than the {n} available observations"
+        )
+    # every row but a failed last one holds weights
+    drawn = [weights for weights in out if isinstance(weights, np.ndarray)]
+    if drawn:
+        flat = np.concatenate(drawn)
+        starts = np.cumsum([0] + [weights.size for weights in drawn[:-1]])
+        invalid = np.logical_or.reduceat(~np.isfinite(flat) | (flat < 0), starts)
+        # half ProjectionVector's tolerance, so that a sum in another order
+        # cannot pass a direction that the check itself fails
+        off = np.abs(np.add.reduceat(flat * flat, starts) - 1.0) > _UNIT_NORM_TOL / 2
+        for r in np.flatnonzero(invalid | off):
+            try:
+                ProjectionVector(out[r])
+            except NortsError as exc:
+                out[r] = exc
+    return out
 
 
 def rp_test(s, cfg: ProjectionConfig) -> RpResult:
@@ -188,23 +294,47 @@ def rp_test(s, cfg: ProjectionConfig) -> RpResult:
     the k raw p-values are then FDR-combined.  Projection ``i`` draws from
     sub-stream ``i`` of the configured seed, so results are reproducible
     at any degree of parallelism.
+
+    The per-projection work runs in two batches: each half's directions are
+    drawn together (:func:`_half_directions`), and the minimizations of all
+    the characteristic-function projections run as one stacked search
+    (:func:`norts.epps._search`).  Both give what one projection at a time
+    gives, bit for bit.  Projections run in order up to the first one that
+    fails, and the error raised is that of the lowest-numbered failure.
     """
     s = Series(_normalized(s)[0])
     n = len(s)
     half = cfg.k // 2
-    per_projection = []
-    for i in range(cfg.k):
-        pars = cfg.pars1 if i < half else cfg.pars2
-        position = (i % half) + 1
-        rng = cfg.seed.substream(i)
-        h = _draw_fitting_projection(pars, rng, n, i)
-        projected = project_series(s, h)
-        label, test = ("lobato", lobato_test) if position % 2 == 1 else ("epps", epps_test)
+    per_projection: list = []
+    prepared = []  # (index, epps._prepare output) of each epps projection
+    failure = None
+    try:
+        for indices, pars in ((range(half), cfg.pars1), (range(half, cfg.k), cfg.pars2)):
+            for i, weights in zip(indices, _half_directions(cfg.seed, indices, pars, n)):
+                if isinstance(weights, NortsError):
+                    raise weights
+                # as project_series: a projection that overflows is rejected
+                projected = Series(np.convolve(s.values, weights, mode="valid"))
+                try:
+                    if (i - indices.start) % 2 == 0:
+                        res = lobato_test(projected)
+                        per_projection.append(("lobato", float(res.statistic), float(res.p_value)))
+                    else:
+                        prepared.append((i, _prepare(projected)))
+                        per_projection.append(None)
+                except NortsError as exc:
+                    raise type(exc)(f"projection {i + 1}: {exc}") from exc
+    except NortsError as exc:
+        failure = exc
+    # the searches of the projections before a failure come before it
+    for (i, epps), found in zip(prepared, _search([epps[3] for _, epps in prepared])):
         try:
-            res = test(projected)
+            res = _result(epps, found)
         except NortsError as exc:
             raise type(exc)(f"projection {i + 1}: {exc}") from exc
-        per_projection.append((label, float(res.statistic), float(res.p_value)))
+        per_projection[i] = ("epps", float(res.statistic), float(res.p_value))
+    if failure is not None:
+        raise failure
 
     def average(label: str) -> float:
         stats = [stat for name, stat, _ in per_projection if name == label]

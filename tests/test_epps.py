@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -24,7 +25,16 @@ from norts import (
     simulate_arma,
     spectral_zero,
 )
-from norts.epps import _grid
+from norts.epps import (
+    NEWTON_MAX_STEP,
+    NEWTON_MAXITER,
+    NEWTON_MIN_DAMPING,
+    NEWTON_RTOL,
+    _grid,
+    _prepare,
+    _result,
+    _search,
+)
 
 LAM = Lambda((0.7, 1.9))
 
@@ -320,3 +330,179 @@ class TestEppsTest:
             Lambda((0.0, 1.0))
         with pytest.raises(InvalidInputError):
             Lambda((2.0, 1.0))
+
+
+# Reference copy of the damped Newton search as it ran before rows were
+# stacked: one series, its 2x2 algebra in Python floats.  The stacked search
+# must give every row exactly this.
+
+
+def minimize_qn_one_row(ghat, weight, mu0, g0, pts):
+    """The damped Newton search on one row, in Python floats: a reference
+    copy of the one-series search that the stacked ``_search`` replaced.
+    Returns (mu, sigma2, q, converged)."""
+    size = pts.size
+    order = np.arange(2 * size).reshape(size, 2).T.ravel()
+    ghat = ghat[order]
+    weight = weight[np.ix_(order, order)]
+    sd = np.sqrt(g0)
+    b = pts * sd
+
+    def evaluate(u0, u1):
+        # cosine block first, then sine block, to match the reordered W
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma2 = g0 * np.exp(u1)
+            a = pts * pts * sigma2 / 2.0
+            damp = np.exp(-a)
+            ang = pts * (mu0 + u0 * sd)
+            gc = damp * np.cos(ang)
+            gs = damp * np.sin(ang)
+            v = ghat - np.concatenate((gc, gs))
+            q = float(v @ weight @ v)
+        if not (np.isfinite(q) and 0.0 < sigma2 < np.inf and np.isfinite(a).all()):
+            return None
+        return q, v, gc, gs, a
+
+    def step(shift):
+        # solves (H + shift * scale * I) s = -grad from H / scale, whose
+        # eigenvalues lie in [-1, 1], so no product over- or underflows
+        det = (lowest + shift) * (highest + shift)
+        s0 = (h01 * grad1 - (h11 + shift) * grad0) / det / scale
+        s1 = (h01 * grad0 - (h00 + shift) * grad1) / det / scale
+        return s0, s1
+
+    u0 = u1 = 0.0
+    q, v, gc, gs, a = evaluate(u0, u1)
+    damping = 0.0
+    converged = False
+    fresh = True
+    for _ in range(NEWTON_MAXITER):
+        if fresh:
+            w = weight @ v
+            pc = w[:size] * gc + w[size:] * gs
+            qs = w[:size] * gs - w[size:] * gc
+            jac = np.empty((2 * size, 2))
+            jac[:size, 0] = -b * gs
+            jac[size:, 0] = b * gc
+            jac[:size, 1] = -a * gc
+            jac[size:, 1] = -a * gs
+            jwj = jac.T @ weight @ jac
+            grad0 = 2.0 * float(b @ qs)
+            grad1 = 2.0 * float(a @ pc)
+            h00 = 2.0 * float(jwj[0, 0] + (b * b) @ pc)
+            h01 = 2.0 * float(jwj[0, 1] - (a * b) @ qs)
+            h11 = 2.0 * float(jwj[1, 1] - (a * pc) @ (a - 1.0))
+            mid = (h00 + h11) / 2.0
+            half_gap = math.hypot((h00 - h11) / 2.0, h01)
+            scale = abs(mid) + half_gap
+            if not 0.0 < scale < math.inf:
+                break
+            h00, h01, h11 = h00 / scale, h01 / scale, h11 / scale
+            lowest = (mid - half_gap) / scale
+            highest = (mid + half_gap) / scale
+            if lowest > 0.0:
+                s0, s1 = step(0.0)
+                if -(grad0 * s0 + grad1 * s1) <= 2.0 * NEWTON_RTOL * q:
+                    trial = evaluate(u0 + s0, u1 + s1)
+                    if trial is not None and trial[0] < q:
+                        u0, u1, q = u0 + s0, u1 + s1, trial[0]
+                    converged = True
+                    break
+        if lowest > 0.0:
+            s0, s1 = step(damping)
+        else:
+            s0, s1 = step(max(damping, NEWTON_MIN_DAMPING) - 2.0 * lowest)
+        longest = max(abs(s0), abs(s1))
+        if longest > NEWTON_MAX_STEP:
+            s0, s1 = s0 * (NEWTON_MAX_STEP / longest), s1 * (NEWTON_MAX_STEP / longest)
+        trial = evaluate(u0 + s0, u1 + s1)
+        fresh = trial is not None and trial[0] < q
+        if fresh:
+            u0, u1 = u0 + s0, u1 + s1
+            q, v, gc, gs, a = trial
+            damping /= 10.0
+        elif u0 + s0 == u0 and u1 + s1 == u1:
+            break
+        else:
+            damping = max(10.0 * damping, NEWTON_MIN_DAMPING)
+    return mu0 + u0 * sd, g0 * np.exp(u1), q, converged
+
+
+SEARCH_LAWS = (
+    InnovationLaw.normal(),
+    InnovationLaw.lognormal(),
+    InnovationLaw.student_t(3),
+    InnovationLaw.chi_squared(2),
+    InnovationLaw.beta(7, 1),
+)
+
+
+def search_series(count=400):
+    """Series of mixed lengths, laws, AR coefficients and scales; every
+    seventh is rounded to a few values, which makes some searches stop
+    without converging."""
+    out = []
+    for i in range(count):
+        n = 10 + (37 * i) % 390
+        spec = ArmaSpec(ar=(0.6 * ((i % 5) - 2) / 2,), innovation=SEARCH_LAWS[i % 5])
+        x = simulate_arma(spec, n, 50, RngStream(i, stream_id=11)).values
+        if i % 7 == 3:
+            x = np.round(x * 2.0)
+        out.append(x * 10.0 ** ((i % 13) - 6) + 100.0 * (i % 3))
+    return out
+
+
+def oracle_epps(x, lam=None):
+    prepared = _prepare(x, lam)
+    return _result(prepared, minimize_qn_one_row(*prepared[3]))
+
+
+def fields(r):
+    return r.statistic, r.p_value, r.theta_hat.mu, r.theta_hat.sigma2, r.df, r.converged
+
+
+class TestStackedSearch:
+    def test_rows_equal_one_row_oracle(self):
+        prepared, degenerate = [], 0
+        for x in search_series():
+            try:
+                prepared.append(_prepare(x))
+            except NumericDegeneracyError:  # rank <= 2: epps_test raises before searching
+                degenerate += 1
+        assert degenerate < 40
+        found = []
+        start = 0
+        for size in (1, 2, 5, 32, 64, 100):  # stacks of mixed sizes
+            found += _search([p[3] for p in prepared[start : start + size]])
+            start += size
+        found += _search([p[3] for p in prepared[start:]])
+        converged = 0
+        for i, (p, f) in enumerate(zip(prepared, found)):
+            expected = _result(p, minimize_qn_one_row(*p[3]))
+            assert fields(_result(p, f)) == fields(expected), i
+            converged += expected.converged
+        # the stack holds rows that stop without converging
+        assert 0 < converged < len(prepared)
+
+    def test_epps_test_equals_one_row_oracle(self):
+        grids = (None, Lambda((0.5, 1.0, 2.0)), Lambda((0.3, 0.9, 1.7, 2.5)))
+        for i, x in enumerate(search_series(200)):
+            lam = grids[i % 3]
+            try:
+                expected = fields(oracle_epps(x, lam))
+            except NumericDegeneracyError as exc:
+                with pytest.raises(NumericDegeneracyError) as raised:
+                    epps_test(x, lam)
+                assert str(raised.value) == str(exc)
+                continue
+            assert fields(epps_test(x, lam)) == expected, i
+
+    def test_rank_two_or_less_raises_before_the_search(self):
+        x = np.tile([0.0, 1.0], 100)
+        with pytest.raises(NumericDegeneracyError, match="rank 1"):
+            _prepare(x)
+        with pytest.raises(NumericDegeneracyError, match="rank 1"):
+            epps_test(x)
+
+    def test_empty_stack(self):
+        assert _search([]) == []

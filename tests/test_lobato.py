@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from norts import (
@@ -130,11 +130,21 @@ def test_rows_kernel_equals_lobato_test_row_by_row():
     assert raised == [7, 11]
 
 
+def gate_accepts(values):
+    try:
+        _normalized(values)
+    except InvalidInputError:
+        return False
+    return True
+
+
 @given(values=st.lists(st.floats(-10, 10, allow_nan=False), min_size=10, max_size=60))
+@example(values=[0.0] * 9 + [5e-324])
 @settings(max_examples=80, deadline=None)
 def test_moments_near_exact_fraction_moments(values):
-    # the kernel's moments, on the centred data at unit spread that it sees
-    assume(np.ptp(values) > 0.0)
+    # the kernel's moments, on the centred data at unit spread that it sees;
+    # the gate also rejects a spread that underflows, as in [0.0] * 9 + [5e-324]
+    assume(gate_accepts(values))
     x, _ = _normalized(values)
     d = x - x.mean()
     _, mu3, mu4 = (float(m[0]) for m in _moments(d[None, :]))

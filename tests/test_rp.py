@@ -11,21 +11,28 @@ from norts import (
     GarchSpec,
     InnovationLaw,
     InvalidInputError,
+    NortsError,
     NumericDegeneracyError,
     ProjectionConfig,
     ProjectionVector,
     RngStream,
+    RpResult,
     ScenarioSpec,
     Series,
+    epps_test,
     fdr_combine,
     lobato_test,
     project_series,
     rp_test,
     run_scenario,
+    sample,
     simulate_arma,
     simulate_garch,
     stick_breaking_h,
 )
+from norts import rp
+from norts.rp import _BATCH_CHUNKS, _STICK_CHUNK, STICK_CAP, TRUNCATION_MASS, _half_directions
+from norts.series import MIN_TEST_LENGTH, _normalized
 
 
 def fdr_oracle(pvalues):
@@ -223,3 +230,238 @@ class TestRpTest:
             ProjectionConfig(seed=RngStream(1), k=0)
         with pytest.raises(InvalidInputError):
             ProjectionConfig(seed=RngStream(1), pars1=(0.0, 1.0))
+
+
+# Reference copy of rp_test as it was before its draws and its epps searches
+# were batched: one direction and one marginal test after another, stopping
+# at the first failure.  The batched rp_test must give the same directions,
+# the same results and the same error.
+
+
+def stick_breaking_loop(a, b, rng):
+    """One direction, one stick at a time, from 32-uniform chunks of ``rng``."""
+    law = InnovationLaw.beta(a, b)
+    sticks = []
+    total = 0.0
+    remaining = 1.0
+    while True:
+        v = sample(law, rng, size=32)
+        for vj in v:
+            w = vj * remaining
+            sticks.append(w)
+            total += w
+            remaining *= 1.0 - vj
+            if total >= TRUNCATION_MASS:
+                weights = np.array(sticks)
+                return ProjectionVector(np.sqrt(weights / weights.sum()))
+            if len(sticks) > STICK_CAP:
+                raise NumericDegeneracyError(
+                    f"stick-breaking with beta({a:g},{b:g}) failed to reach mass "
+                    f"{TRUNCATION_MASS} within {STICK_CAP} sticks"
+                )
+
+
+def draw_loop(pars, rng, n, index, redraws=None):
+    """A direction that leaves MIN_TEST_LENGTH of n points, in at most 100
+    draws; appends the number of redraws to ``redraws`` if given."""
+    for attempt in range(100):
+        h = stick_breaking_loop(pars[0], pars[1], rng)
+        if n - (len(h) - 1) >= MIN_TEST_LENGTH:
+            if redraws is not None:
+                redraws.append(attempt)
+            return h
+    raise InvalidInputError(
+        f"projection {index + 1}: beta{pars} directions keep spanning more than "
+        f"the {n} available observations"
+    )
+
+
+def rp_loop(s, cfg):
+    s = Series(_normalized(s)[0])
+    n = len(s)
+    half = cfg.k // 2
+    per_projection = []
+    for i in range(cfg.k):
+        pars = cfg.pars1 if i < half else cfg.pars2
+        position = (i % half) + 1
+        h = draw_loop(pars, cfg.seed.substream(i), n, i)
+        projected = project_series(s, h)
+        label, test = ("lobato", lobato_test) if position % 2 == 1 else ("epps", epps_test)
+        try:
+            res = test(projected)
+        except NortsError as exc:
+            raise type(exc)(f"projection {i + 1}: {exc}") from exc
+        per_projection.append((label, float(res.statistic), float(res.p_value)))
+
+    def average(label):
+        stats = [stat for name, stat, _ in per_projection if name == label]
+        return float(np.mean(stats)) if stats else float("nan")
+
+    return RpResult(
+        k=cfg.k,
+        avg_lobato=average("lobato"),
+        avg_epps=average("epps"),
+        p_value=fdr_combine([p for *_, p in per_projection]),
+        per_projection=tuple(per_projection),
+    )
+
+
+def outcome(fn, *args):
+    """The result's repr (NaN averages compare equal that way), or the
+    error's type and message."""
+    try:
+        return repr(fn(*args))
+    except NortsError as exc:
+        return type(exc), str(exc)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBatchedDirections:
+    # (pars, n): rows within the batch, rows that redraw (n of 80-90 for
+    # pars1), pars2's few sticks, directions of ~400 sticks (past the batch
+    # width), a one-stick law and rows that fail after 100 draws
+    CONFIGS = [
+        ((2.0, 7.0), 250),
+        ((2.0, 7.0), 80),
+        ((2.0, 7.0), 85),
+        ((2.0, 7.0), 90),
+        ((100.0, 1.0), 20),
+        ((1.0, 20.0), 2000),
+        ((1.0, 20.0), 400),
+        ((5.0, 1e-6), 12),
+        ((2.0, 7.0), 66),
+    ]
+
+    def test_equal_loop_bit_for_bit(self):
+        directions, redraws, longest = 0, [], 0
+        for c, (pars, n) in enumerate(self.CONFIGS):
+            for seed in range(12):
+                master = RngStream(seed * 7919 + c, stream_id=seed % 3)
+                start = 37 * seed
+                indices = range(start, start + 16 + seed)
+                expected = []
+                for i in indices:
+                    try:
+                        h = draw_loop(pars, master.substream(i), n, i, redraws)
+                    except NortsError as exc:
+                        expected.append((type(exc), str(exc)))
+                        break
+                    expected.append(h.weights)
+                    longest = max(longest, len(h))
+                got = _half_directions(master, indices, pars, n)
+                assert len(got) == len(expected), (pars, n, seed)
+                for i, want, have in zip(indices, expected, got):
+                    if isinstance(want, tuple):
+                        assert (type(have), str(have)) == want, (pars, n, seed, i)
+                    else:
+                        assert same_bits(have, want), (pars, n, seed, i)
+                        directions += 1
+        assert directions >= 2000
+        assert max(redraws) >= 3  # rows that continue their stream past the batch
+        assert longest > _BATCH_CHUNKS * _STICK_CHUNK
+
+    def test_pars2_only_config_equals_loop(self):
+        cfg = ProjectionConfig(seed=RngStream(12), k=42, pars1=(100.0, 1.0), pars2=(100.0, 1.0))
+        x = simulate_arma(ArmaSpec(ar=(0.5,)), 30, 50, RngStream(13))
+        assert outcome(rp_test, x, cfg) == outcome(rp_loop, x, cfg)
+
+    @pytest.mark.parametrize("pars", [(2.0, 7.0), (100.0, 1.0), (1.0, 20.0), (5.0, 1e-6), (0.001, 5.0)])
+    def test_stick_breaking_h_equals_loop(self, pars):
+        for i in range(20):
+            a, b = RngStream(91).substream(i), RngStream(91).substream(i)
+            assert outcome(lambda: stick_breaking_h(*pars, a).weights.view(np.uint64).tolist()) == outcome(
+                lambda: stick_breaking_loop(*pars, b).weights.view(np.uint64).tolist()
+            )
+            # both consume whole 32-uniform chunks of the stream
+            assert a.uniform() == b.uniform()
+
+    def test_stick_cap_error_is_the_loops(self):
+        # beta(0.001, 5) sticks are mostly zero: 10000 of them hold too little
+        x = simulate_arma(ArmaSpec(), 300, 50, RngStream(14))
+        for pars in [((0.001, 5.0), (2.0, 7.0)), ((2.0, 7.0), (0.001, 5.0))]:
+            cfg = ProjectionConfig(seed=RngStream(15), k=4, pars1=pars[0], pars2=pars[1])
+            expected = outcome(rp_loop, x, cfg)
+            assert expected[0] is NumericDegeneracyError
+            assert "within 10000 sticks" in expected[1]
+            assert outcome(rp_test, x, cfg) == expected
+
+    def test_checks_run_on_every_direction(self, monkeypatch):
+        good = np.sqrt(np.full(4, 0.25))
+        negative = np.array([-0.6, 0.8])
+        near = np.sqrt(np.array([0.5, 0.5 + 0.9e-9]))  # within the 1e-9 tolerance
+        far = np.sqrt(np.array([0.5, 0.5 + 2e-9]))
+        monkeypatch.setattr(rp, "_directions", lambda *args: [good, negative, near, far, np.array([np.nan])])
+        got = _half_directions(RngStream(1), range(5), (2.0, 7.0), 250)
+        assert same_bits(got[0], good) and same_bits(got[2], near)
+        assert str(got[1]) == "projection weights must be finite and non-negative"
+        assert str(got[3]).startswith("projection weights must have unit l2 norm, got 1.000000002")
+        assert str(got[4]) == "projection weights must be finite and non-negative"
+        with pytest.raises(InvalidInputError, match=r"^projection weights must be finite"):
+            rp_test(np.arange(300.0) % 7, ProjectionConfig(seed=RngStream(1), k=10))
+
+
+class TestErrorOrder:
+    def test_draw_failure_after_a_test_failure(self):
+        # projection 1's lobato test fails; projection 3's beta(1, 20)
+        # directions all span more than the 120 points
+        cfg = ProjectionConfig(seed=RngStream(3), k=4, pars1=(100.0, 1.0), pars2=(1.0, 20.0))
+        x = np.tile([0.0, 1.0], 60)
+        expected = outcome(rp_loop, x, cfg)
+        assert expected == (NumericDegeneracyError, "projection 1: non-positive studentization sum "
+                            "(F3=-4.996e-16, F4=40.0801)")
+        assert outcome(rp_test, x, cfg) == expected
+
+    def test_test_failure_after_a_draw_failure(self):
+        cfg = ProjectionConfig(seed=RngStream(3), k=4, pars1=(1.0, 20.0), pars2=(100.0, 1.0))
+        x = np.tile([0.0, 1.0], 60)
+        expected = outcome(rp_loop, x, cfg)
+        assert expected == (InvalidInputError, "projection 1: beta(1.0, 20.0) directions keep "
+                            "spanning more than the 120 available observations")
+        assert outcome(rp_test, x, cfg) == expected
+
+    def test_rank_deficient_epps_after_a_lobato_failure(self):
+        # projection 2 (epps) of a period-2 series has rank 1, but projection
+        # 1's lobato test fails first
+        cfg = ProjectionConfig(seed=RngStream(3), k=4, pars1=(100.0, 1.0), pars2=(100.0, 1.0))
+        x = np.tile([0.0, 1.0], 60)
+        expected = outcome(rp_loop, x, cfg)
+        assert expected[1].startswith("projection 1: non-positive studentization")
+        assert outcome(rp_test, x, cfg) == expected
+        cfg = ProjectionConfig(seed=RngStream(4), k=4, pars1=(100.0, 1.0), pars2=(100.0, 1.0))
+        expected = outcome(rp_loop, x, cfg)
+        assert expected[1].startswith("projection 2: long-run covariance of the 4 moment conditions has rank 1")
+        assert outcome(rp_test, x, cfg) == expected
+
+    def test_lowest_failing_projection_wins(self):
+        # near rp's minimum length, draws fail at varying projections, and
+        # period-2 series fail lobato or epps at others
+        seen = set()
+        for seed in range(12):
+            for n, period, pars1, pars2 in [
+                (72, False, (2.0, 7.0), (2.0, 6.0)),
+                (74, False, (2.0, 7.0), (2.0, 6.0)),
+                (72, False, (100.0, 1.0), (2.0, 7.0)),
+                (74, True, (2.0, 7.0), (100.0, 1.0)),
+            ]:
+                x = np.tile([0.0, 1.0], n // 2)
+                if not period:
+                    x = x + RngStream(seed, 5).uniform(n)
+                cfg = ProjectionConfig(seed=RngStream(seed), k=16, pars1=pars1, pars2=pars2)
+                expected = outcome(rp_loop, x, cfg)
+                assert outcome(rp_test, x, cfg) == expected, (seed, n, period)
+                if isinstance(expected, tuple):
+                    seen.add((expected[1].split(":")[0], expected[1].split(":")[1][:5]))
+        projections = {where for where, _ in seen}
+        assert {"projection 1", "projection 2", "projection 5", "projection 9"} <= projections
+        assert {why for _, why in seen} >= {" beta", " non-", " long"}
+
+    @pytest.mark.parametrize("n", [100, 250, 1000])
+    def test_results_equal_loop(self, n):
+        for seed in range(6):
+            law = (InnovationLaw.normal(), InnovationLaw.lognormal(), InnovationLaw.student_t(3))[seed % 3]
+            x = simulate_arma(ArmaSpec(ar=(0.4,), innovation=law), n, 50, RngStream(seed, 6))
+            cfg = ProjectionConfig(seed=RngStream(seed, 7), k=32)
+            assert outcome(rp_test, x, cfg) == outcome(rp_loop, x, cfg)
