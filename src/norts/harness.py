@@ -8,15 +8,17 @@ with sub-stream (j, 1), so results are identical at any worker count and
 the grid runner assigns every scenario a stream derived from its position
 in the canonical grid rather than from enumeration order.
 
-Trial j draws ``BURN_IN + n`` uniforms but inverts and filters only the
-last ``k + n`` of them, where k = :func:`_burn_in` (phi) is the smallest
-k >= 0 with |phi|**k <= 2**-53, capped at ``BURN_IN`` (0 at phi = 0, 27 at
-|phi| = 0.25, 41 at 0.4, ``BURN_IN`` from |phi| = 0.93): an innovation
-further back would enter the kept path with a weight below half an ulp.
-So trial j is exactly::
+Trial j inverts and filters uniforms ``BURN_IN - k`` to ``BURN_IN + n`` of
+its stream, where k = :func:`_burn_in` (phi) is the smallest k >= 0 with
+|phi|**k <= 2**-53, capped at ``BURN_IN`` (0 at phi = 0, 27 at |phi| =
+0.25, 41 at 0.4, ``BURN_IN`` from |phi| = 0.93): an innovation further back
+would enter the kept path with a weight below half an ulp.  The uniforms
+before them are never drawn: Philox is counter-based, so the batched draw
+starts each row at the counter of uniform ``BURN_IN - k``.  So trial j is
+exactly::
 
     s = stream.substream(j).substream(0)
-    s.uniform(BURN_IN - k)  # drawn and left unused
+    s.uniform(BURN_IN - k)  # skipped
     simulate_arma(ArmaSpec((phi,) if phi else (), innovation=law), n, k, s)
 
 followed by the method on that series with ``stream.substream(j)
@@ -26,13 +28,13 @@ phi = 0 and |phi| >= 0.93 it is the same path.
 
 A worker simulates its chunk of trials as one matrix, in row blocks of a
 bounded size: one batched uniform draw (:meth:`RngStream.uniform_rows`, bit
-for bit the per-trial streams), one inverse-CDF call and one ARMA filter
-along the rows.  A method with a rows kernel (lobato) scores the whole
-block at once; any other method, and any row the kernel finds degenerate,
-runs the method's own runner trial by trial, so p-values and error messages
-are those of the single-series test.  The optional timing column
-is the cell's wall time divided by its trials, an average over the shared
-blocks rather than a time measured per trial.
+for bit the per-trial streams from their uniform ``BURN_IN - k`` on), one
+inverse-CDF call and one ARMA filter along the rows.  A method with a rows
+kernel (lobato) scores the whole block at once; any other method, and any
+row the kernel finds degenerate, runs the method's own runner trial by
+trial, so p-values and error messages are those of the single-series test.
+The optional timing column is the cell's wall time divided by its trials,
+an average over the shared blocks rather than a time measured per trial.
 """
 
 from __future__ import annotations
@@ -131,14 +133,14 @@ class ScenarioResult:
 def _trial_batch(args):
     spec, stream, indices, skip_failures = args
     ar = (spec.phi,) if spec.phi != 0.0 else ()
-    skip = BURN_IN - _burn_in(spec.phi)  # uniforms drawn but not used
+    k = _burn_in(spec.phi)
     method = METHODS[spec.method]
     # a rows kernel scores the method as it runs with no options
     rows = None if spec.method_options else method.rows
     out = []
     # trial j simulates from sub-stream (j, 0), as the module docstring states
-    for trials, u in stream._uniform_blocks(indices, BURN_IN + spec.n, tail=(0,)):
-        paths = _arma_filter(_quantile(spec.law, u[:, skip:]), ar)[:, -spec.n :]
+    for trials, u in stream._uniform_blocks(indices, k + spec.n, tail=(0,), start=BURN_IN - k):
+        paths = _arma_filter(_quantile(spec.law, u), ar)[:, -spec.n :]
         del u  # only the paths stay alive while they are scored
         pvalues = rows(paths) if rows is not None else np.full(len(trials), np.nan)
         for j, path, p in zip(trials, paths, pvalues.tolist()):

@@ -7,12 +7,13 @@ entry is the ``stream_id``; the pair is hashed into a Philox counter-based
 generator key, so identical identities replay identical sequences on every
 platform and distinct identities give statistically independent output.
 
-:meth:`RngStream.uniform_rows` draws the first uniforms of many sub-streams
-at once.  It derives their keys in one vectorized pass that reproduces
-numpy's ``SeedSequence`` hash, so the row of index ``i`` is bit for bit what
-``substream(i).uniform`` returns, or ``substream(i).substream(0).uniform``
-with ``tail=(0,)``.  Callers that need many rows draw them in bounded
-blocks through ``_uniform_blocks``.
+:meth:`RngStream.uniform_rows` draws the same stretch of uniforms from many
+sub-streams at once.  It derives their keys in one vectorized pass that
+reproduces numpy's ``SeedSequence`` hash, so the row of index ``i`` is bit
+for bit what ``substream(i).uniform`` returns, or ``substream(i)
+.substream(0).uniform`` with ``tail=(0,)``, from the ``start``-th uniform
+on.  Callers that need many rows draw them in bounded blocks through
+``_uniform_blocks``.
 """
 
 from __future__ import annotations
@@ -161,36 +162,46 @@ class RngStream:
         u = self._generator().random(size)
         return np.maximum(u, np.finfo(float).tiny)
 
-    def uniform_rows(self, indices, size: int, tail: tuple[int, ...] = ()) -> np.ndarray:
-        """First ``size`` uniforms of the sub-streams ``path + (i,) + tail``,
-        one row per index ``i`` in ``indices`` (each below 2**32).
+    def uniform_rows(
+        self, indices, size: int, tail: tuple[int, ...] = (), start: int = 0
+    ) -> np.ndarray:
+        """Uniforms ``start`` to ``start + size`` of the sub-streams ``path +
+        (i,) + tail``, one row per index ``i`` in ``indices`` (each below
+        2**32).
 
-        Row r equals ``substream(indices[r]).uniform(size)`` when ``tail`` is
-        empty and ``substream(indices[r]).substream(0).uniform(size)`` for
-        ``tail=(0,)``.  One Philox generator is re-keyed for each row instead
-        of building a stream per row, which leaves this stream's own state
-        untouched.
+        Row r equals ``substream(indices[r]).uniform(start + size)[start:]``
+        when ``tail`` is empty and ``substream(indices[r]).substream(0)
+        .uniform(start + size)[start:]`` for ``tail=(0,)``.  One Philox
+        generator is re-keyed for each row instead of building a stream per
+        row, which leaves this stream's own state untouched.  Philox makes
+        four uniforms per counter value, so each row starts at counter
+        ``start // 4`` and draws the ``start % 4`` uniforms before ``start``
+        that share its block; with ``start % 4`` nonzero the result is a
+        view that skips them.
         """
         keys = _philox_keys(self.seed, self.path, indices, tail)
-        out = np.empty((len(keys), size))
+        skip = start % 4
+        out = np.empty((len(keys), skip + size))
         bitgen = Philox(0)
         gen = Generator(bitgen)
-        state = bitgen.state  # counter zero and buffer empty, as in a fresh stream
+        state = bitgen.state  # buffer empty, as in a fresh stream
+        state["state"]["counter"][0] = start // 4
         for row, key in zip(out, keys):
             state["state"]["key"] = key
             bitgen.state = state
             gen.random(out=row)
+        out = out[:, skip:]
         return np.maximum(out, np.finfo(float).tiny, out=out)
 
-    def _uniform_blocks(self, indices, size: int, tail: tuple[int, ...] = ()):
+    def _uniform_blocks(self, indices, size: int, tail: tuple[int, ...] = (), start: int = 0):
         """:meth:`uniform_rows` of ``indices`` in consecutive row blocks of at
         most ``_BLOCK_ELEMENTS`` elements (one row at least), as pairs
         (indices of the block, its uniforms), so that a caller working
         through the rows holds one block at a time."""
         block = max(1, _BLOCK_ELEMENTS // size)
-        for start in range(0, len(indices), block):
-            rows = indices[start : start + block]
-            yield rows, self.uniform_rows(rows, size, tail)
+        for first in range(0, len(indices), block):
+            rows = indices[first : first + block]
+            yield rows, self.uniform_rows(rows, size, tail, start)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.special import ndtr
 
 from norts import (
@@ -10,6 +10,7 @@ from norts import (
     chi2_sf,
     sample,
 )
+from norts import dist
 
 
 class TestNormalCdf:
@@ -123,3 +124,149 @@ class TestInnovationLaw:
             InnovationLaw.beta(1, -1)
         with pytest.raises(InvalidInputError):
             InnovationLaw("t", (1.0, 2.0))
+
+
+def _oracle_points():
+    """2105 uniforms where the quantile kernels are hardest: uniform on (0, 1),
+    the Philox lattice k 2**-53 at both ends, log-uniform tails down to
+    1e-300, the smallest normal float and a band around 1/2."""
+    gen = np.random.default_rng(20261019)
+    k = np.arange(1, 201) * 2.0**-53
+    return np.concatenate([
+        gen.random(800),
+        k,
+        1.0 - k,
+        10.0 ** gen.uniform(-300, 0, 500),
+        1.0 - 10.0 ** gen.uniform(-16, 0, 200),
+        0.5 + gen.uniform(-1e-3, 1e-3, 200),
+        [np.finfo(float).tiny, 0.25, 0.5, 0.75, dist._T3_SPLIT],
+    ])
+
+
+def _exact(solve, u):
+    """``solve(u, bits)`` at rising precision until two precisions agree."""
+    import mpmath as mp
+
+    bits = 80
+    while True:
+        a, b = solve(u, bits), solve(u, bits + 40)
+        if abs(a - b) <= abs(b) * mp.mpf(2) ** -70:
+            return b
+        bits *= 2
+
+
+def _ulps(x, exact):
+    import mpmath as mp
+
+    with mp.workprec(300):
+        spacing = mp.mpf(float(np.spacing(abs(float(exact)))))
+        return float(abs(mp.mpf(float(x)) - exact) / spacing)
+
+
+def _t3_exact(u, bits):
+    """The t(3) quantile from F(t) = 1/2 + (theta + sin theta cos theta) / pi,
+    theta = arctan(t / sqrt(3)), solved in mpmath."""
+    import mpmath as mp
+
+    p = min(u, 1.0 - u)
+    with mp.workprec(bits + int(-np.log2(p))):  # phi - sin cos cancels in the tail
+        p = mp.mpf(p)
+        if p == 0.5:
+            return mp.mpf(0)
+        tol = mp.mpf(2) ** (-mp.mp.prec + 10)
+        if p < 0.25:
+            c = mp.pi * p
+            phi = mp.findroot(lambda x: x - mp.sin(x) * mp.cos(x) - c, mp.cbrt(1.5 * c), tol=tol * c)
+            t = mp.sqrt(3) * mp.cos(phi) / mp.sin(phi)
+        else:
+            c = mp.pi * (mp.mpf(0.5) - p)
+            theta = mp.findroot(lambda x: x + mp.sin(x) * mp.cos(x) - c, c / 2, tol=tol * c)
+            t = mp.sqrt(3) * mp.tan(theta)
+        return t if u > 0.5 else -t
+
+
+def _gamma_exact(a):
+    """The gamma(a, 1) quantile from mpmath's regularized incomplete gamma."""
+    import mpmath as mp
+
+    def solve(u, bits):
+        with mp.workprec(bits + int(-np.log2(min(u, 1.0 - u))) // 4):
+            lower = u <= 0.5
+            target = mp.log(mp.mpf(u) if lower else 1 - mp.mpf(u))
+
+            def f(w):
+                y = mp.exp(w)
+                lo, hi = (0, y) if lower else (y, mp.inf)
+                return mp.log(mp.gammainc(a, lo, hi, regularized=True)) - target
+
+            start = (target + mp.loggamma(a + 1)) / a if lower else mp.log(a - 2 * target)
+            return mp.exp(mp.findroot(f, start, tol=mp.mpf(2) ** (-mp.mp.prec + 10)))
+
+    return solve
+
+
+@pytest.mark.parametrize(
+    "kernel, scipy_ppf, solve, points",
+    [
+        (dist._t3_ppf, lambda u: special.stdtrit(3, u), _t3_exact, slice(None)),
+        (lambda u: dist._gamma_int_ppf(5, u), lambda u: special.gammaincinv(5, u), _gamma_exact(5), slice(None)),
+        (lambda u: dist._gamma_int_ppf(1, u), lambda u: special.gammaincinv(1, u), _gamma_exact(1), slice(None, None, 8)),
+        (lambda u: dist._gamma_int_ppf(dist._GAMMA_SERIES_MAX, u),
+         lambda u: special.gammaincinv(dist._GAMMA_SERIES_MAX, u),
+         _gamma_exact(dist._GAMMA_SERIES_MAX), slice(None, None, 8)),
+    ],
+    ids=["t3", "gamma5", "gamma1", "gamma-max"],
+)
+def test_quantile_kernels_against_mpmath(kernel, scipy_ppf, solve, points):
+    pytest.importorskip("mpmath")
+    u = _oracle_points()[points]
+    exact = [_exact(solve, float(v)) for v in u]
+    ours = np.array([_ulps(x, e) for x, e in zip(kernel(u), exact)])
+    theirs = np.array([_ulps(x, e) for x, e in zip(scipy_ppf(u), exact)])
+    worse = ours > np.maximum(4.0, theirs)
+    assert not worse.any(), list(zip(u[worse], ours[worse], theirs[worse]))
+    assert np.median(ours) <= 1.0, np.median(ours)
+
+
+def test_t3_draw_at_the_uniform_floor_is_finite():
+    # stdtrit(3, u) is +inf below u ~ 1e-237, the floor RngStream maps 0 to included
+    t = dist._quantile(InnovationLaw.student_t(3), np.finfo(float).tiny)
+    assert np.isfinite(t) and t < 0.0
+
+
+@pytest.mark.parametrize(
+    "law, around",
+    [
+        (InnovationLaw.student_t(3), (dist._T3_SPLIT, 0.5, 1.0 - dist._T3_SPLIT)),
+        (InnovationLaw.chi_squared(10), (0.5,)),
+        (InnovationLaw.gamma(2, 1), (0.5,)),
+    ],
+    ids=lambda v: getattr(v, "label", None),
+)
+def test_kernels_are_monotone_across_their_branches(law, around):
+    # steps of 1e-10 move the quantile by far more than its few-ulp error
+    u = np.concatenate([v * (1.0 + np.arange(-2000, 2001) * 1e-10) for v in around])
+    assert np.all(np.diff(dist._quantile(law, np.sort(u))) > 0.0)
+
+
+def test_other_parameters_keep_scipy():
+    u = RngStream(5).uniform(1000)
+    np.testing.assert_array_equal(dist._quantile(InnovationLaw.student_t(5), u), special.stdtrit(5, u))
+    np.testing.assert_array_equal(
+        dist._quantile(InnovationLaw.chi_squared(3), u), 2.0 * special.gammaincinv(1.5, u)
+    )
+    shape = dist._GAMMA_SERIES_MAX + 1
+    np.testing.assert_array_equal(
+        dist._quantile(InnovationLaw.gamma(2, shape), u), special.gammaincinv(shape, u) / 2
+    )
+
+
+@pytest.mark.parametrize("law", [InnovationLaw.student_t(3), InnovationLaw.chi_squared(10)])
+def test_kernels_keep_the_shape_of_their_input(law):
+    u = RngStream(6).uniform(12).reshape(3, 4)
+    out = dist._quantile(law, u)
+    assert out.shape == (3, 4)
+    np.testing.assert_array_equal(out.reshape(-1), dist._quantile(law, u.reshape(-1)))
+    assert dist._quantile(law, u[1, 2]).shape == ()
+    assert dist._quantile(law, u[1, 2]) == out[1, 2]
+    assert isinstance(sample(law, RngStream(6)), float)

@@ -291,7 +291,8 @@ def per_trial(spec, stream, j):
 def chunked(spec, stream, chunk, block_rows, monkeypatch):
     """Every trial's p-value (or error) from chunks of ``chunk`` trials, each
     simulated in row blocks of ``block_rows``."""
-    monkeypatch.setattr(rng_module, "_BLOCK_ELEMENTS", block_rows * (harness.BURN_IN + spec.n))
+    row = harness._burn_in(spec.phi) + spec.n  # the uniforms a trial draws
+    monkeypatch.setattr(rng_module, "_BLOCK_ELEMENTS", block_rows * row)
     indices = list(range(spec.trials))
     out = {}
     for i in range(0, spec.trials, chunk):

@@ -166,6 +166,19 @@ def test_uniform_rows_any_index_set_and_tail_property(seed, stream_id, indices, 
         np.testing.assert_array_equal(row, ref.uniform(size))
 
 
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 459, 473, 500, 1001])
+def test_uniform_rows_from_an_offset_skip_the_first_uniforms(start):
+    # start % 4 covers each position within a Philox block of four
+    s = RngStream(47, stream_id=3)
+    rows = s.uniform_rows([0, 6, 2**32 - 1], 141, tail=(0,), start=start)
+    for i, row in zip([0, 6, 2**32 - 1], rows):
+        np.testing.assert_array_equal(row, s.substream(i).substream(0).uniform(start + 141)[start:])
+    blocks = list(s._uniform_blocks(list(range(5)), 9, start=start))
+    assert [list(rows) for rows, _ in blocks] == [list(range(5))]
+    for i, row in enumerate(blocks[0][1]):
+        np.testing.assert_array_equal(row, s.substream(i).uniform(start + 9)[start:])
+
+
 @pytest.mark.parametrize("a, b", [(0, 7), (1, 10), (3, 5), (4, 4), (7, 9), (494, 106)])
 def test_consecutive_draws_split_one_draw(a, b):
     # Philox hands out four 64-bit words per counter step and buffers the
