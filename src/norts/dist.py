@@ -19,7 +19,9 @@ an explicit CDF:
   CPU-specific SIMD code, so these draws can differ in the last bits
   between CPUs, as the log-normal's ``np.exp`` draws already do.
 
-The other laws' draws are the same on every platform.
+Student's t for other df keeps ``stdtrit``, and beta ``betaincinv``, except
+in the far lower tail (see ``_t_ppf`` and ``_beta_ppf``).  The other laws'
+draws are the same on every platform.
 """
 
 from __future__ import annotations
@@ -265,13 +267,50 @@ def _gamma_ppf(a: float, u):
     return special.gammaincinv(a, u)
 
 
+# stdtrit (scipy 1.17) loses the far lower tail for 2 < df < ~19: it returns
+# +inf, or a value off by up to a half, from u ~ 1e-109 down (df just above
+# 2) to from u ~ 1e-308 down (df ~ 18).  From df = 30 it stays within an
+# ulp; below df = 2 the x of _t_ppf underflows, so it cannot help there.
+_T_FAR = 1e-100
+
+
+def _t_ppf(df: float, u):
+    """Quantiles of Student's t: ``stdtrit``, except at u < ``_T_FAR`` for
+    2 < df < 30, where F(t) = I_x(df/2, 1/2) / 2 with x = df / (df +
+    t**2) is inverted by ``betaincinv`` and t = -sqrt(df (1/x - 1)).  (u
+    never comes within 2**-53 of 1, so the upper tail needs no such care.)"""
+    t = special.stdtrit(df, u)
+    far = np.asarray(u) < _T_FAR
+    if 2.0 < df < 30.0 and far.any():
+        t = np.array(t)
+        x = special.betaincinv(0.5 * df, 0.5, 2.0 * np.asarray(u)[far])
+        t[far] = -np.sqrt(df * (1.0 / x - 1.0))
+    return t
+
+
+def _beta_ppf(a: float, b: float, u):
+    """Quantiles of beta(a, b): ``betaincinv``, except where it returns nan
+    (scipy 1.17 does so far in the lower tail for some shapes, beta(2, 7)
+    below u ~ 1e-187 among them).  There x is tiny and I_x(a, b) = x**a /
+    (a B(a, b)) (1 + O(b x)), so x starts at (u a B(a, b))**(1/a) and takes
+    one Newton step in that ratio form (with numpy's CPU-specific array
+    power, as the log-normal's draws use its ``exp``)."""
+    x = special.betaincinv(a, b, u)
+    lost = np.isnan(x)
+    if lost.any():
+        x, v = np.array(x), np.asarray(u)[lost]
+        lead = v ** (1.0 / a) * (a * special.beta(a, b)) ** (1.0 / a)
+        x[lost] = lead * (1.0 + (v / special.betainc(a, b, lead) - 1.0) / a)
+    return x
+
+
 # Each law's parameter count and its quantile function of (params, u).
 _LAWS = {
     "normal": (0, lambda p, u: special.ndtri(u)),
     "lognormal": (0, lambda p, u: np.exp(special.ndtri(u))),
-    "t": (1, lambda p, u: _t3_ppf(u) if p[0] == 3.0 else special.stdtrit(p[0], u)),
+    "t": (1, lambda p, u: _t3_ppf(u) if p[0] == 3.0 else _t_ppf(p[0], u)),
     "chisq": (1, lambda p, u: 2.0 * _gamma_ppf(p[0] / 2.0, u)),
-    "beta": (2, lambda p, u: special.betaincinv(p[0], p[1], u)),
+    "beta": (2, lambda p, u: _beta_ppf(p[0], p[1], u)),
     "gamma": (2, lambda p, u: _gamma_ppf(p[1], u) / p[0]),  # p = (rate, shape)
 }
 

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import InvalidInputError, NumericDegeneracyError
 from .rng import RngStream
@@ -82,7 +82,8 @@ def anderson_darling(s) -> float:
 
     The series is standardized by its sample mean and the square root of
     the divisor-n variance, then the classic closed form of the weighted
-    CDF distance is evaluated with log-CDF calls for tail stability.
+    CDF distance is evaluated from each point's smaller normal tail
+    probability (see :func:`_ad_rows`).
     """
     x, _ = _normalized(s)
     return float(_ad_rows(x[None, :])[0])
@@ -154,23 +155,54 @@ def fit_ar_sieve(s, max_order: int):
     return order, phi, resid
 
 
+# Elements per chunk of _ad_rows: its three chunk-sized buffers stay in L2.
+_AD_CHUNK = 1 << 16
+_TINY = np.finfo(float).tiny
+
+
 def _ad_rows(x: np.ndarray) -> np.ndarray:
-    """Anderson-Darling statistic per row of a 2-d array (nan where degenerate)."""
+    """Anderson-Darling statistic per row of a 2-d array (nan where degenerate).
+
+    With z sorted, the closed form sums (2i - 1) [log F(z_i) + log F(-z_(n+1-i))]
+    over i.  Each point's smaller tail q = F(-|z_i|) gives both logs:
+    log q, and log(1 - q) with 1 - q >= 1/2 rounded by at most 2**-53.  So
+    the sum is n sum(log q + log(1 - q)) plus sum (2i - 1 - n) sign(z_i)
+    (log(1 - q) - log q), with one normal tail probability per point.  Where
+    q underflows to a subnormal or 0 (|z| past ~37.5, reachable only for n
+    above ~1400), log q comes from ``log_ndtr``.  numpy's ``log`` runs SIMD
+    code chosen by the CPU, so A can differ in its last bits between CPUs.
+    Rows are scored in chunks of about ``_AD_CHUNK`` elements, which does not
+    change a bit.
+    """
+    rows, n = x.shape
+    weights = 2.0 * np.arange(1, n + 1) - 1.0 - n
+    step = max(1, _AD_CHUNK // n)
+    return np.concatenate([_ad_chunk(x[i : i + step], weights) for i in range(0, rows, step)])
+
+
+def _ad_chunk(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`_ad_rows` of a few rows, in three buffers the size of ``x``."""
     n = x.shape[1]
     z = x - x.mean(axis=1, keepdims=True)
-    # two full-size arrays in all: z and one buffer for the square and the terms
-    terms = np.square(z)
-    g0 = terms.mean(axis=1, keepdims=True)
+    q = np.square(z)
+    g0 = q.mean(axis=1, keepdims=True)
+    lp = np.empty_like(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         z /= np.sqrt(g0)
         z.sort(axis=1)
-        log_ndtr(z, out=terms)
-        log_ndtr(np.negative(z, out=z), out=z)  # log-SF, read back reversed
-        terms += z[:, ::-1]
-        terms *= 2.0 * np.arange(1, n + 1) - 1.0
-        out = -n - terms.sum(axis=1) / n
-    out[~np.isfinite(out)] = np.nan
-    out[(g0 <= 0).ravel()] = np.nan
+        ndtr(np.negative(np.abs(z, out=q), out=q), out=q)
+        np.log(np.subtract(1.0, q, out=lp), out=lp)
+        # the sorted rows' largest |z| sit at their ends
+        small = q < _TINY if (q[:, [0, -1]] < _TINY).any() else None
+        np.log(q, out=q)
+        if small is not None:
+            q[small] = log_ndtr(-np.abs(z[small]))
+        total = lp.sum(axis=1) + q.sum(axis=1)
+        lp -= q
+        np.copysign(lp, z, out=lp)
+        lp *= weights
+        out = -n - total - lp.sum(axis=1) / n
+    out[~np.isfinite(out) | (g0 <= 0).ravel()] = np.nan
     return out
 
 

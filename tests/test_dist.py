@@ -270,3 +270,73 @@ def test_kernels_keep_the_shape_of_their_input(law):
     assert dist._quantile(law, u[1, 2]).shape == ()
     assert dist._quantile(law, u[1, 2]) == out[1, 2]
     assert isinstance(sample(law, RngStream(6)), float)
+
+
+def _t_exact(df):
+    """The lower-tail t(df) quantile from F(t) = I_x(df/2, 1/2) / 2, x = df
+    / (df + t**2), with mpmath's regularized incomplete beta."""
+    import mpmath as mp
+
+    def solve(u, bits):
+        with mp.workprec(bits):
+            a = mp.mpf(df) / 2
+            target = mp.log(2 * mp.mpf(u))
+
+            def f(w):
+                return mp.log(mp.betainc(a, 0.5, 0, mp.exp(w), regularized=True)) - target
+
+            start = (target + mp.log(a) + mp.log(mp.beta(a, 0.5))) / a
+            x = mp.exp(mp.findroot(f, start, tol=mp.mpf(2) ** (-mp.mp.prec + 10)))
+            return -mp.sqrt(df * (1 / x - 1))
+
+    return solve
+
+
+@pytest.mark.parametrize("df", [2.5, 5.0, 10.0, 29.5])
+def test_t_far_tail_against_mpmath(df):
+    # stdtrit returns +inf (or a value off by a half) far in the lower tail for
+    # these df; below dist._T_FAR the quantile inverts the incomplete beta
+    pytest.importorskip("mpmath")
+    gen = np.random.default_rng(int(df * 10))
+    u = np.concatenate([[np.finfo(float).tiny, 1e-300, 1e-200], 10.0 ** gen.uniform(-307, -90, 30)])
+    t = dist._quantile(InnovationLaw.student_t(df), u)
+    ulps = np.array([_ulps(x, _exact(_t_exact(df), float(v))) for x, v in zip(t, u)])
+    assert ulps.max() <= 4.0, list(zip(u[ulps > 4.0], ulps[ulps > 4.0]))
+    near = u >= dist._T_FAR
+    np.testing.assert_array_equal(t[near], special.stdtrit(df, u[near]))
+
+
+def test_beta_far_tail_against_mpmath():
+    # betaincinv(2, 7, u) is nan below u ~ 1e-187; beta(2, 7) is rp's default law
+    import mpmath as mp
+
+    u = np.array([np.finfo(float).tiny, 1e-300, 1e-250, 1e-200])
+    x = dist._quantile(InnovationLaw.beta(2, 7), u)
+    for v, got in zip(u, x):
+        with mp.workprec(200):
+            target = mp.log(mp.mpf(v))
+            w = mp.findroot(
+                lambda w: mp.log(mp.betainc(2, 7, 0, mp.exp(w), regularized=True)) - target,
+                (target + mp.log(2 * mp.beta(2, 7))) / 2,
+            )
+            assert abs(got / mp.exp(w) - 1) < 1e-13, v
+
+
+LAW_GRID = (
+    [InnovationLaw.normal(), InnovationLaw.lognormal()]
+    + [InnovationLaw.student_t(df) for df in (1, 2, 2.5, 3, 4, 5, 10, 30, 100)]
+    + [InnovationLaw.chi_squared(df) for df in (1, 3, 10, 101)]
+    + [InnovationLaw.beta(a, b) for a, b in ((7, 1), (2, 7), (100, 1), (0.5, 0.5), (5, 1.5), (2, 1000))]
+    + [InnovationLaw.gamma(rate, shape) for rate, shape in ((3, 6), (1, 0.5), (2, 50), (1, 51))]
+)
+
+
+@pytest.mark.parametrize("law", LAW_GRID, ids=lambda law: law.label)
+def test_quantiles_finite_and_monotone_at_the_extremes(law):
+    # tiny is the floor RngStream maps an exact 0 to; laws bounded at 0 may
+    # round to an exact 0 there
+    u = np.array([np.finfo(float).tiny, 1e-300, 1e-200, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    q = dist._quantile(law, u)
+    assert np.isfinite(q).all(), q
+    assert np.all(np.diff(q) >= 0.0), q
+    np.testing.assert_array_equal([dist._quantile(law, v) for v in u], q)

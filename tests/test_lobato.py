@@ -71,11 +71,28 @@ def test_fk_hat_matches_bruteforce_property(values, k):
     assert fk_hat(x, k) == pytest.approx(fk_bruteforce(x, k), rel=1e-10, abs=1e-10)
 
 
+# at these two series C pow missed the rescaled gamma(0)**k by an ulp
+@example([0.054, 0.273, -0.982, -1.107, 0.2, -0.467, 0.236, 0.76, -1.649, 0.254, 1.225, -0.298], 4, 1)
+@example([1.194, 0.1, 0.559, 0.354, -0.305, 0.634, -1.012, -0.407, 0.164, -2.727, 1.36, -0.218], 3, -3)
+@given(
+    values=st.lists(
+        st.floats(-10, 10).filter(lambda v: v == 0.0 or abs(v) > 1e-6), min_size=10, max_size=30
+    ),
+    k=st.sampled_from([3, 4]),
+    j=st.integers(-60, 60),
+)
+@settings(max_examples=100, deadline=None)
+def test_fk_hat_scales_exactly_by_powers_of_two(values, k, j):
+    # gamma scales by 4**j exactly and F_k is a product of k gammas per term
+    x = np.array(values)
+    assert fk_hat(x * 2.0**j, k) == 2.0 ** (2 * k * j) * fk_hat(x, k)
+
+
 def lobato_one_series(x):
     """lobato_test's arithmetic on one series, step by step: products of
-    the centred data for the moments and of the lag pairs for the
-    studentization sums, Python's scalar power on the moments and gamma(0),
-    and one exp for the chi-square(2) tail."""
+    the centred data for the moments, of gamma(0) and of the lag pairs for
+    the studentization sums, Python's scalar power on the moments, and one
+    exp for the chi-square(2) tail."""
     n = len(x)
     d = x - np.mean(x)
     d2 = d * d
@@ -83,8 +100,9 @@ def lobato_one_series(x):
     g = np.correlate(d, d, mode="full")[n - 1 :] / n
     tail = g[1:]
     pair = tail + tail[::-1]
-    f3 = float(g[0] ** 3 + 2.0 * np.sum(tail * (pair * pair)))
-    f4 = float(g[0] ** 4 + 2.0 * np.sum(tail * (pair * pair * pair)))
+    g02 = g[0] * g[0]
+    f3 = float(g02 * g[0] + 2.0 * np.sum(tail * (pair * pair)))
+    f4 = float(g02 * g02 + 2.0 * np.sum(tail * (pair * pair * pair)))
     skew = n * mu3**2 / (6.0 * f3)
     kurt = n * (mu4 - 3.0 * mu2**2) ** 2 / (24.0 * f4)
     return skew, kurt, float(np.exp(-(skew + kurt) / 2.0))

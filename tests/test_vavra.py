@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import lfilter
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri
 
 import norts.rng as rng_module
 import norts.vavra as vavra_module
@@ -91,6 +91,100 @@ def test_closed_form_matches_quadrature_property(values):
     if np.sqrt(np.mean((x - x.mean()) ** 2)) < 1e-6:
         return
     assert anderson_darling(x) == pytest.approx(ad_quadrature(x), abs=1e-6)
+
+
+def ad_rows_two_log_ndtr(x):
+    """The earlier vavra._ad_rows, kept as a reference: log F(z) and log
+    F(-z) from two log_ndtr passes over the sorted, standardized rows."""
+    n = x.shape[1]
+    z = x - x.mean(axis=1, keepdims=True)
+    terms = np.square(z)
+    g0 = terms.mean(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z /= np.sqrt(g0)
+        z.sort(axis=1)
+        log_ndtr(z, out=terms)
+        log_ndtr(np.negative(z, out=z), out=z)
+        terms += z[:, ::-1]
+        terms *= 2.0 * np.arange(1, n + 1) - 1.0
+        out = -n - terms.sum(axis=1) / n
+    out[~np.isfinite(out)] = np.nan
+    out[(g0 <= 0).ravel()] = np.nan
+    return out
+
+
+def ad_mpmath(x):
+    """The closed form of A**2 in 40-digit arithmetic, from the float data."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        v = [mp.mpf(float(e)) for e in x]
+        n = len(v)
+        mu = mp.fsum(v) / n
+        sd = mp.sqrt(mp.fsum((e - mu) ** 2 for e in v) / n)
+        z = sorted((e - mu) / sd for e in v)
+        total = mp.fsum(
+            (2 * i - 1) * (mp.log(mp.ncdf(z[i - 1])) + mp.log(mp.ncdf(-z[n - i])))
+            for i in range(1, n + 1)
+        )
+        return -n - total / n
+
+
+def _oracle_rows():
+    rows = {
+        f"normal-{n}": simulate_arma(ArmaSpec(ar=(0.3,)), n, 100, RngStream(60, n)).values
+        for n in (50, 200, 1000)
+    }
+    rows["t3-500"] = simulate_arma(ArmaSpec(innovation=InnovationLaw.student_t(3)), 500, 0, RngStream(61)).values
+    rows["ties-300"] = np.round(simulate_arma(ArmaSpec(), 300, 0, RngStream(62)).values, 1)
+    outlier = simulate_arma(ArmaSpec(), 1600, 0, RngStream(63)).values.copy()
+    outlier[700] = 1e6  # standardized to |z| ~ 39.99, where ndtr underflows to 0
+    rows["outlier-1600"] = outlier
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_rows()))
+def test_ad_rows_against_mpmath(name):
+    pytest.importorskip("mpmath")
+    x = _oracle_rows()[name]
+    exact = float(ad_mpmath(x))
+    assert vavra_module._ad_rows(x[None, :])[0] == pytest.approx(exact, rel=1e-11)
+    if name.startswith("outlier"):
+        z = (x - x.mean()) / x.std()
+        assert z.max() > 38.0 and ndtr(-z.max()) < np.finfo(float).tiny  # the log_ndtr branch
+
+
+def test_ad_rows_chunk_size_does_not_change_a_bit(monkeypatch):
+    gen = np.random.default_rng(64)
+    blocks = [np.vstack([gen.standard_normal((20, 150)), gen.standard_t(3, (19, 150)), np.ones((1, 150))])]
+    far = gen.standard_normal((9, 1600))
+    far[4, 3] = 1e6  # the log_ndtr branch, next to a degenerate row
+    far[5] = 2.0
+    blocks.append(far)
+    for x in blocks:
+        whole = vavra_module._ad_rows(x)
+        assert np.isnan(whole).sum() == 1
+        for rows in (1, 7):
+            monkeypatch.setattr(vavra_module, "_AD_CHUNK", rows * x.shape[1])
+            np.testing.assert_array_equal(vavra_module._ad_rows(x), whole)
+        monkeypatch.undo()
+
+
+def test_pvalues_equal_the_two_log_ndtr_kernel(monkeypatch):
+    # A changes in its last bits; on 200 seeded AR series no bootstrap
+    # statistic lies that close to the observed one, so no p-value moves
+    new_kernel = vavra_module._ad_rows
+    laws = (InnovationLaw.normal(), InnovationLaw.student_t(5))
+    for i in range(200):
+        spec = ArmaSpec(ar=(0.3 * (i % 3),), innovation=laws[i % 2])
+        s = simulate_arma(spec, 60 + 13 * (i % 19), 100, RngStream(i, stream_id=65))
+        cfg = SieveConfig(seed=RngStream(i, stream_id=66), replications=199)
+        monkeypatch.setattr(vavra_module, "_ad_rows", ad_rows_two_log_ndtr)
+        old = vavra_test(s, cfg)
+        monkeypatch.setattr(vavra_module, "_ad_rows", new_kernel)
+        new = vavra_test(s, cfg)
+        assert new.p_value == old.p_value, i
+        assert new.ad_observed == pytest.approx(old.ad_observed, rel=1e-11)
 
 
 class TestFitArSieve:
