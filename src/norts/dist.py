@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -267,24 +268,37 @@ def _gamma_ppf(a: float, u):
     return special.gammaincinv(a, u)
 
 
-# stdtrit (scipy 1.17) loses the far lower tail for 2 < df < ~19: it returns
+# stdtrit (scipy 1.17) loses the far lower tail for 1 < df < ~19: it returns
 # +inf, or a value off by up to a half, from u ~ 1e-109 down (df just above
-# 2) to from u ~ 1e-308 down (df ~ 18).  From df = 30 it stays within an
-# ulp; below df = 2 the x of _t_ppf underflows, so it cannot help there.
+# 2) to from u ~ 1e-308 down (df ~ 18), and clamps near -1e153 below df = 2.
+# From df = 30 it stays within an ulp.
 _T_FAR = 1e-100
 
 
 def _t_ppf(df: float, u):
     """Quantiles of Student's t: ``stdtrit``, except at u < ``_T_FAR`` for
-    2 < df < 30, where F(t) = I_x(df/2, 1/2) / 2 with x = df / (df +
-    t**2) is inverted by ``betaincinv`` and t = -sqrt(df (1/x - 1)).  (u
+    1 < df < 30.  There, for 2 < df, F(t) = I_x(df/2, 1/2) / 2 with x = df /
+    (df + t**2) is inverted by ``betaincinv`` and t = -sqrt(df (1/x - 1)).
+    Below df = 2 that x underflows, and t takes the leading term of the
+    tail, F(t) = df**(df/2 - 1) |t|**-df / B(df/2, 1/2) (1 + O(t**-2)) with
+    |t| > 1e50: t = -sqrt(df) y**(-1/df), y = u df B(df/2, 1/2).  The
+    exponent -1/df rounds to p, and ln(y) / df, down to -550, would magnify
+    that rounding to a few hundred ulp; so the power is y**p times y**(-e /
+    df) = 1 - e ln(y) / df, with e = 1 + df p formed exactly.  That pow and
+    log are the C library's, on Python floats, not numpy's SIMD code.  (u
     never comes within 2**-53 of 1, so the upper tail needs no such care.)"""
     t = special.stdtrit(df, u)
     far = np.asarray(u) < _T_FAR
-    if 2.0 < df < 30.0 and far.any():
-        t = np.array(t)
-        x = special.betaincinv(0.5 * df, 0.5, 2.0 * np.asarray(u)[far])
-        t[far] = -np.sqrt(df * (1.0 / x - 1.0))
+    if 1.0 < df < 30.0 and df != 2.0 and far.any():
+        t, v = np.array(t), np.asarray(u)[far]
+        if df < 2.0:
+            p = -1.0 / df
+            e = float(1 + Fraction(df) * Fraction(p))
+            y = (v * (df * special.beta(0.5 * df, 0.5))).tolist()
+            t[far] = [-math.sqrt(df) * w**p * (1.0 - e / df * math.log(w)) for w in y]
+        else:
+            x = special.betaincinv(0.5 * df, 0.5, 2.0 * v)
+            t[far] = -np.sqrt(df * (1.0 / x - 1.0))
     return t
 
 

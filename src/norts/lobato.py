@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericDegeneracyError
-from .series import _full_autocovariances, _long_enough, _normalized, _spread_exponents, autocovariances
+from .dist import chi2_sf
+from .series import _lag_sums, _long_enough, _normalized, _spread_exponents, autocovariances
 
 __all__ = ["LobatoResult", "fk_hat", "lobato_test"]
 
@@ -83,36 +84,17 @@ def _moments(d: np.ndarray):
     return d2.mean(axis=1), (d2 * d).mean(axis=1), (d2 * d2).mean(axis=1)
 
 
-def _autocovariance_rows(d: np.ndarray) -> np.ndarray:
-    """:func:`_full_autocovariances` of each row of the 2-d ``d``, bit for bit.
-
-    A block takes one stacked dot per lag, (R,1,n-h) @ (R,n-h,1), which runs
-    the BLAS ddot that ``np.correlate`` runs per row and lag, instead of one
-    correlate call per row.  A single row, or rows of n <= 11, go through
-    ``np.correlate``: at n = 10 and 11 the stacked form differed from it in
-    the last bit on about a quarter of random rows.
-    """
-    rows, n = d.shape
-    if rows == 1 or n <= 11:
-        return np.array([_full_autocovariances(row) for row in d])
-    g = np.empty_like(d)
-    for h in range(n):
-        g[:, h] = (d[:, None, h:] @ d[:, : n - h, None])[:, 0, 0]
-    return g / n
-
-
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """:func:`_lobato_rows` of rows already at unit spread."""
     n = x.shape[1]
     d = x - x.mean(axis=1, keepdims=True)
     mu2, mu3, mu4 = _moments(d)
     # one autocovariance sequence per row serves both studentization sums
-    g = _autocovariance_rows(d)
+    g = _lag_sums(d, n - 1) / n
     f3, f4 = _fk(g, 3), _fk(g, 4)
     columns = (mu2.tolist(), mu3.tolist(), mu4.tolist(), f3.tolist(), f4.tolist())
     terms = np.reshape([_terms(n, *row) for row in zip(*columns)], (-1, 2))
-    # the chi-square(2) upper tail exp(-stat/2), over the whole block
-    p = np.exp(-(terms[:, 0] + terms[:, 1]) / 2.0)
+    p = chi2_sf(terms[:, 0] + terms[:, 1], 2)
     return np.column_stack([f3, f4, terms, p])
 
 

@@ -2,7 +2,9 @@
 
 The autocovariances use divisor ``n`` (not ``n - 1``): the long-run
 covariance sums consumed by the test modules mix autocovariances at
-complementary lags and are stated for the divisor-``n`` convention.
+complementary lags and are stated for the divisor-``n`` convention.  Every
+lag product in the package, those of lobato's blocks and of kpss's
+long-run variance included, comes from one routine, ``_lag_sums``.
 """
 
 from __future__ import annotations
@@ -144,9 +146,7 @@ def read_series_csv(path) -> Series:
 # ---------------------------------------------------------------------------
 
 # On a series longer than this, fewer lags than this take one dot product
-# each instead of the O(n^2) full correlation.  Each dot product equals the
-# matching correlation entry bit for bit; on series of 11 points or fewer
-# numpy sums lag 0 in another order, and the full correlation is cheap there.
+# each instead of the O(n^2) full correlation.
 _FEW_LAGS = 64
 
 
@@ -159,15 +159,23 @@ def autocovariances(s, max_lag: int | None = None) -> np.ndarray:
     if max_lag < 0 or max_lag >= n:
         raise InvalidInputError(f"max_lag must satisfy 0 <= max_lag < n, got {max_lag}")
     d = s.values - np.mean(s.values)
-    if max_lag < _FEW_LAGS < n:
-        return np.array([d[h:] @ d[: n - h] for h in range(max_lag + 1)]) / n
-    return _full_autocovariances(d)[: max_lag + 1]
+    return _lag_sums(d[None], max_lag)[0] / n
 
 
-def _full_autocovariances(d: np.ndarray) -> np.ndarray:
-    """Autocovariances at lags 0..n-1 of a demeaned 1-d array, by full correlation."""
-    n = d.size
-    return np.correlate(d, d, mode="full")[n - 1 :] / n
+def _lag_sums(d: np.ndarray, max_lag: int) -> np.ndarray:
+    """The sums of d[t + h] * d[t] over t for h = 0..max_lag, per row of the
+    demeaned 2-d ``d``, with no divisor.  ``np.correlate`` takes rows of
+    n <= 11 and a single row (unless it needs fewer than ``_FEW_LAGS`` lags
+    of more points); otherwise one stacked (R,1,n-h) @ (R,n-h,1) matmul per
+    lag runs the BLAS ddot that correlate runs, bit for bit.  Below n = 12
+    the two differ in the last bit of lag 0 on about a quarter of rows."""
+    rows, n = d.shape
+    if n <= 11 or (rows == 1 and not max_lag < _FEW_LAGS < n):
+        return np.array([np.correlate(row, row, mode="full")[n - 1 : n + max_lag] for row in d])
+    sums = np.empty((rows, max_lag + 1))
+    for h in range(max_lag + 1):
+        sums[:, h] = (d[:, None, h:] @ d[:, : n - h, None])[:, 0, 0]
+    return sums
 
 
 # ---------------------------------------------------------------------------

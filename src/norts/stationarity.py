@@ -15,7 +15,7 @@ import numpy as np
 
 from .dist import chi2_sf
 from .errors import InvalidInputError, NumericDegeneracyError
-from .series import _normalized, autocovariances
+from .series import _lag_sums, _normalized, autocovariances
 
 __all__ = ["UnitRootReport", "ljung_box", "adf_test", "kpss_test"]
 
@@ -121,10 +121,11 @@ def kpss_test(s) -> UnitRootReport:
     cumsums = np.cumsum(e)
     eta = float(np.sum(cumsums**2)) / n**2
     lag = int(np.floor(4.0 * (n / 100.0) ** 0.25))
-    lrv = float(e @ e) / n
+    sums = _lag_sums(e[None], lag)[0].tolist()
+    lrv = sums[0] / n
     for i in range(1, lag + 1):
         w = 1.0 - i / (lag + 1.0)
-        lrv += 2.0 * w * float(e[i:] @ e[:-i]) / n
+        lrv += 2.0 * w * sums[i] / n
     if lrv <= 0.0:
         raise NumericDegeneracyError("long-run variance estimate is non-positive")
     stat = eta / lrv

@@ -292,10 +292,12 @@ def _t_exact(df):
     return solve
 
 
-@pytest.mark.parametrize("df", [2.5, 5.0, 10.0, 29.5])
+@pytest.mark.parametrize("df", [1.25, 1.5, 1.9, 2.5, 5.0, 10.0, 29.5])
 def test_t_far_tail_against_mpmath(df):
-    # stdtrit returns +inf (or a value off by a half) far in the lower tail for
-    # these df; below dist._T_FAR the quantile inverts the incomplete beta
+    # stdtrit returns +inf (or a value off by a half, or clamps near -1e153
+    # below df = 2) far in the lower tail for these df; below dist._T_FAR the
+    # quantile inverts the incomplete beta, or below df = 2 takes the tail's
+    # leading term
     pytest.importorskip("mpmath")
     gen = np.random.default_rng(int(df * 10))
     u = np.concatenate([[np.finfo(float).tiny, 1e-300, 1e-200], 10.0 ** gen.uniform(-307, -90, 30)])
@@ -304,6 +306,17 @@ def test_t_far_tail_against_mpmath(df):
     assert ulps.max() <= 4.0, list(zip(u[ulps > 4.0], ulps[ulps > 4.0]))
     near = u >= dist._T_FAR
     np.testing.assert_array_equal(t[near], special.stdtrit(df, u[near]))
+
+
+@pytest.mark.parametrize("df", [1.25, 1.5, 1.9])
+def test_t_far_tail_below_df_2_joins_stdtrit(df):
+    # the tail's leading term takes over from stdtrit one ulp below
+    # dist._T_FAR; t moves by less than an ulp there, so the two routes must
+    # agree to the few ulp each is off
+    u = np.array([np.nextafter(dist._T_FAR, 0.0), dist._T_FAR, 1e-95, 1e-90])
+    t = dist._quantile(InnovationLaw.student_t(df), u)
+    np.testing.assert_array_equal(t[1:], special.stdtrit(df, u[1:]))
+    np.testing.assert_allclose(t[0], t[1], rtol=1e-15)
 
 
 def test_beta_far_tail_against_mpmath():

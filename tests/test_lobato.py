@@ -18,8 +18,8 @@ from norts import (
     run_scenario,
     simulate_arma,
 )
-from norts.lobato import _autocovariance_rows, _lobato_rows, _moments
-from norts.series import _full_autocovariances, _normalized
+from norts.lobato import _lobato_rows, _moments
+from norts.series import _lag_sums, _normalized
 
 
 def fk_bruteforce(x, k):
@@ -127,13 +127,14 @@ def test_rows_kernel_matches_one_series_arithmetic_bit_for_bit():
 
 @pytest.mark.parametrize("n", [10, 11, 12, 100, 250])
 def test_block_autocovariances_equal_per_row_correlate(n):
-    # one stacked dot per lag for a block; np.correlate per row below n = 12
+    # the lag sums of lobato's kernel: one stacked dot per lag for a block,
+    # np.correlate for one row and for every row below n = 12
     gen = np.random.default_rng(n)
     x = np.vstack([gen.standard_t(3, (100, n)), gen.lognormal(size=(100, n)) * 1e-3])
     d = x - x.mean(axis=1, keepdims=True)
-    expected = np.array([_full_autocovariances(row) for row in d])
-    np.testing.assert_array_equal(_autocovariance_rows(d), expected)
-    np.testing.assert_array_equal(_autocovariance_rows(d[:1]), expected[:1])
+    expected = np.array([np.correlate(row, row, mode="full")[n - 1 :] for row in d])
+    np.testing.assert_array_equal(_lag_sums(d, n - 1), expected)
+    np.testing.assert_array_equal(_lag_sums(d[:1], n - 1), expected[:1])
 
 
 def test_rows_kernel_equals_lobato_test_row_by_row():

@@ -16,6 +16,7 @@ from norts import (
     simulate_arma,
     simulate_garch,
 )
+from norts.series import _lag_sums
 
 finite_values = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=3, max_size=40
@@ -78,6 +79,19 @@ class TestAutocov:
                         np.testing.assert_array_equal(
                             autocovariances(x, max_lag), full[: max_lag + 1]
                         )
+
+    @pytest.mark.parametrize(
+        "rows, n, max_lag",
+        [(100, n, h) for n in (10, 12, 100, 250) for h in sorted({0, 1, 10, 63, 64, n - 2}) if h < n]
+        + [(1, n, h) for n in (63, 64, 65) for h in (62, 63, 64) if h < n]
+        + [(1, 1000, 30), (1, 1000, 999)],
+    )
+    def test_lag_sums_equal_per_row_correlate(self, rows, n, max_lag):
+        gen = np.random.default_rng(n + max_lag)
+        x = gen.standard_t(3, (rows, n)) * 10.0 ** gen.uniform(-5, 5, (rows, 1))
+        d = x - x.mean(axis=1, keepdims=True)
+        expected = np.array([np.correlate(row, row, mode="full")[n - 1 : n + max_lag] for row in d])
+        np.testing.assert_array_equal(_lag_sums(d, max_lag), expected)
 
     def test_cauchy_schwarz_bound(self):
         master = RngStream(4500)

@@ -11,6 +11,7 @@ from norts import (
     ljung_box,
     simulate_arma,
 )
+from norts.series import _normalized
 
 
 def _gaussian(n, seed, sid=0):
@@ -140,6 +141,20 @@ class TestKpss:
         assert r.p_value >= 0.05  # keeps its null of stationarity
         w = kpss_test(Series(np.cumsum(_gaussian(400, 1306))))
         assert w.p_value < 0.05
+
+    @pytest.mark.parametrize("n", [30, 64, 65, 250, 1000])
+    def test_statistic_equals_per_lag_loop(self, n):
+        # the long-run variance from one dot product per lag, summed in
+        # kpss_test's order, bit for bit
+        for j, phi in enumerate((-0.5, 0.0, 0.5, 0.9) * 5):
+            x, _ = _normalized(simulate_arma(ArmaSpec(ar=(phi,)), n, 50, RngStream(n, j)))
+            e = x - np.mean(x)
+            eta = float(np.sum(np.cumsum(e) ** 2)) / n**2
+            lag = int(np.floor(4.0 * (n / 100.0) ** 0.25))
+            lrv = float(e @ e) / n
+            for i in range(1, lag + 1):
+                lrv += 2.0 * (1.0 - i / (lag + 1.0)) * float(e[i:] @ e[:-i]) / n
+            assert kpss_test(x).statistic == eta / lrv, (n, j)
 
     def test_constant_rejected(self):
         with pytest.raises(InvalidInputError):
