@@ -295,10 +295,13 @@ def _t_ppf(df: float, u):
             p = -1.0 / df
             e = float(1 + Fraction(df) * Fraction(p))
             y = (v * (df * special.beta(0.5 * df, 0.5))).tolist()
-            t[far] = [-math.sqrt(df) * w**p * (1.0 - e / df * math.log(w)) for w in y]
+            tail = [-math.sqrt(df) * w**p * (1.0 - e / df * math.log(w)) for w in y]
         else:
             x = special.betaincinv(0.5 * df, 0.5, 2.0 * v)
-            t[far] = -np.sqrt(df * (1.0 / x - 1.0))
+            tail = -np.sqrt(df * (1.0 / x - 1.0))
+        # each route is a few ulp off, and t moves by less than that within
+        # an ulp of u: no value below the seam may exceed stdtrit's at it
+        t[far] = np.minimum(tail, special.stdtrit(df, _T_FAR))
     return t
 
 

@@ -178,15 +178,88 @@ def qn(s, theta: ThetaParams, lam: Lambda) -> float:
     return float(v @ weight @ v)
 
 
-def _newton_step(hessian, shift: float):
-    """The step s solving (H + shift * scale * I) s = -grad, from a row's
-    (grad0, grad1, H / scale, scale, H's eigenvalues / scale); H / scale has
-    its eigenvalues in [-1, 1], so no product over- or underflows."""
-    grad0, grad1, h00, h01, h11, scale, lowest, highest = hessian
-    det = (lowest + shift) * (highest + shift)
-    s0 = (h01 * grad1 - (h11 + shift) * grad0) / det / scale
-    s1 = (h01 * grad0 - (h00 + shift) * grad1) / det / scale
-    return s0, s1
+def _lockstep(runs, step) -> list:
+    """Run the generators ``runs`` side by side; returns what each returns, in order.
+
+    Each round, ``step(ids, asks)`` gets the indices of the generators still
+    running and what each last yielded, does their work at once and returns
+    one reply per generator, which is sent back to it."""
+    runs = list(runs)
+    out: list = [None] * len(runs)
+    ids, replies = range(len(runs)), [None] * len(runs)
+    while True:
+        live, asks = [], []
+        for i, reply in zip(ids, replies):
+            try:
+                asks.append(runs[i].send(reply))
+                live.append(i)
+            except StopIteration as stop:
+                out[i] = stop.value
+        if not live:
+            return out
+        ids = live
+        replies = step(ids, asks)
+
+
+def _newton():
+    """One row of :func:`_search`, in Python floats: yields each trial point
+    (u0, u1) with the q it must beat (None for the start, taken whatever its
+    q; -inf for a closing step, which needs no derivatives) and is sent back
+    (ok, q, derivatives) at it.  The derivatives, the dots b'qs, a'pc,
+    (b*b)'pc, (a*b)'qs, (a*pc)'(a - 1) and J'WJ, come only with a trial
+    that beats its bar, which the search then takes.  Returns (u0, u1, q,
+    converged)."""
+
+    def step(shift):
+        # solves (H + shift * scale * I) s = -grad from H / scale, whose
+        # eigenvalues lie in [-1, 1], so no product over- or underflows
+        det = (lowest + shift) * (highest + shift)
+        s0 = (h01 * grad1 - (h11 + shift) * grad0) / det / scale
+        s1 = (h01 * grad0 - (h00 + shift) * grad1) / det / scale
+        return s0, s1
+
+    u0 = u1 = damping = 0.0
+    _, q, derivatives = yield u0, u1, None
+    for _ in range(NEWTON_MAXITER):
+        if derivatives is not None:
+            (bqs, apc, bbpc, abqs, apca), (j00, j01, _, j11) = derivatives
+            grad0, grad1 = 2.0 * bqs, 2.0 * apc
+            h00 = 2.0 * (j00 + bbpc)
+            h01 = 2.0 * (j01 - abqs)
+            h11 = 2.0 * (j11 - apca)
+            mid = (h00 + h11) / 2.0
+            half_gap = math.hypot((h00 - h11) / 2.0, h01)
+            scale = abs(mid) + half_gap
+            if not 0.0 < scale < math.inf:
+                break
+            h00, h01, h11 = h00 / scale, h01 / scale, h11 / scale
+            lowest, highest = (mid - half_gap) / scale, (mid + half_gap) / scale
+            if lowest > 0.0:
+                s0, s1 = step(0.0)
+                if -(grad0 * s0 + grad1 * s1) <= 2.0 * NEWTON_RTOL * q:
+                    # a full Newton step lowers q by at most the tolerance:
+                    # take it if it lowers q at all, and stop
+                    ok, tq, _ = yield u0 + s0, u1 + s1, -math.inf
+                    if ok and tq < q:
+                        u0, u1, q = u0 + s0, u1 + s1, tq
+                    return u0, u1, q, True
+        if lowest > 0.0:
+            s0, s1 = step(damping)
+        else:
+            s0, s1 = step(max(damping, NEWTON_MIN_DAMPING) - 2.0 * lowest)
+        longest = max(abs(s0), abs(s1))
+        if longest > NEWTON_MAX_STEP:
+            s0, s1 = s0 * (NEWTON_MAX_STEP / longest), s1 * (NEWTON_MAX_STEP / longest)
+        t0, t1 = u0 + s0, u1 + s1
+        _, tq, derivatives = yield t0, t1, q
+        if derivatives is not None:
+            u0, u1, q = t0, t1, tq
+            damping /= 10.0
+        elif t0 == u0 and t1 == u1:
+            break
+        else:
+            damping = max(10.0 * damping, NEWTON_MIN_DAMPING)
+    return u0, u1, q, False
 
 
 def _search(stack) -> list:
@@ -207,12 +280,12 @@ def _search(stack) -> list:
     taken.  Trial points whose variance or damping overflows, underflows to
     zero or makes q non-finite count as failed steps.
 
-    Each round is one step of every row still searching.  The form at the
-    rows' trial points and its derivatives at their current points are
-    computed for all of them at once, by stacked matmuls (BLAS's dot and
-    matrix-vector kernels on each row); each row's 2x2 algebra, damping and
-    stop run in Python floats.  A row leaves the stack when it stops, so its
-    result does not depend on the other rows.
+    Each row's search is a :func:`_newton` generator, and :func:`_lockstep`
+    runs them side by side: each round, the form at every searching row's
+    trial point, and its derivatives there when some trial is taken, are
+    computed for all of them at once by stacked matmuls (BLAS's dot and
+    matrix-vector kernels on each row).  A row leaves the stack when it
+    stops, so its result does not depend on the other rows.
 
     Returns one (mu, sigma2, q, converged) per row.  ``converged`` means the
     Hessian is positive definite where the search stopped and a Newton step
@@ -226,35 +299,35 @@ def _search(stack) -> list:
     size = pts.shape[1]
     order = np.arange(2 * size).reshape(size, 2).T.ravel()
     sd = np.sqrt(g0)
-    # the constants of the rows still searching, one row each; the matmuls
-    # equal the one-row products only on C-contiguous operands
-    weight = np.ascontiguousarray(weight[:, order[:, None], order])
     b = pts * sd[:, None]
-    rows = [np.ascontiguousarray(ghat[:, order]), weight, mu0, g0, sd, pts, pts * pts, b, -b, b * b]
-    ids = list(range(len(g0)))
-    found: list = [None] * len(ids)
+    # cosine block first, then sine block; the matmuls equal the one-row
+    # products only on C-contiguous operands, which indexing by a list keeps
+    constants = [
+        np.ascontiguousarray(ghat[:, order]),
+        np.ascontiguousarray(weight[:, order[:, None], order]),
+        mu0, g0, sd, pts, pts * pts, b, -b, b * b,
+    ]
+    rows, current = constants, list(range(len(stack)))
 
-    def evaluate(u0, u1):
-        # cosine block first, then sine block, to match the reordered W
-        ghat, weight, mu0, g0, sd, pts, pts2, *_ = rows
-        sigma2 = g0 * np.exp(u1)
+    def step(ids, asks):
+        nonlocal rows, current
+        if ids != current:
+            rows, current = [c[ids] for c in constants], ids
+        ghat, weight, mu0, g0, sd, pts, pts2, b, minus_b, b2 = rows
+        u0, u1, bars = zip(*asks)
+        sigma2 = g0 * np.exp(np.array(u1))
         a = pts2 * sigma2[:, None] / 2.0
         damp = np.exp(-a)
-        ang = pts * (mu0 + u0 * sd)[:, None]
+        ang = pts * (mu0 + np.array(u0) * sd)[:, None]
         gc = damp * np.cos(ang)
         gs = damp * np.sin(ang)
         v = ghat - np.concatenate((gc, gs), axis=1)
-        q = (v[:, None, :] @ weight @ v[:, :, None])[:, 0, 0]
-        q = q.tolist()
+        q = (v[:, None, :] @ weight @ v[:, :, None])[:, 0, 0].tolist()
         ok = [math.isfinite(qk) and 0.0 < s2 < math.inf and finite
               for qk, s2, finite in zip(q, sigma2.tolist(), np.isfinite(a).all(axis=1).tolist())]
-        return ok, q, [v, gc, gs, a]
-
-    def derivatives():
-        # per row: the dots b'qs, a'pc, (b*b)'pc, (a*b)'qs, (a*pc)'(a - 1),
-        # then J'WJ, for grad = 2 (b'qs, a'pc) and the Hessian
-        weight, b, minus_b, b2 = rows[1], *rows[-3:]
-        v, gc, gs, a = point
+        taken = [bar is None or okk and qk < bar for okk, qk, bar in zip(ok, q, bars)]
+        if not any(taken):
+            return [(okk, qk, None) for okk, qk in zip(ok, q)]
         w = (weight @ v[:, :, None])[:, :, 0]
         wc, ws = w[:, :size], w[:, size:]
         pc = wc * gc + ws * gs
@@ -262,93 +335,18 @@ def _search(stack) -> list:
         minus_a = -a
         jac_t = np.concatenate((minus_b * gs, b * gc, minus_a * gc, minus_a * gs), axis=1)
         jac_t = jac_t.reshape(-1, 2, 2 * size)
-        jwj = jac_t @ weight @ jac_t.transpose(0, 2, 1)
+        jwj = (jac_t @ weight @ jac_t.transpose(0, 2, 1)).reshape(-1, 4).tolist()
         left = np.concatenate((b, a, b2, a * b, a * pc), axis=1).reshape(-1, 5, 1, size)
         right = np.concatenate((qs, pc, pc, qs, a - 1.0), axis=1).reshape(-1, 5, size, 1)
-        return (left @ right).reshape(-1, 5).tolist(), jwj.reshape(-1, 4).tolist()
-
-    def finish(k, converged):
-        found[ids[k]] = (rows[2][k] + u0[k] * rows[4][k], rows[3][k] * np.exp(u1[k]), q[k], converged)
+        dots = (left @ right).reshape(-1, 5).tolist()
+        return [(okk, qk, (d, j) if t else None) for okk, qk, t, d, j in zip(ok, q, taken, dots, jwj)]
 
     # a trial point whose variance or damping overflows, or whose q is not
     # finite, is a failed step, and is rejected without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        u0, u1 = [0.0] * len(ids), [0.0] * len(ids)
-        _, q, point = evaluate(np.zeros(len(ids)), np.zeros(len(ids)))
-        damping = [0.0] * len(ids)
-        fresh = [True] * len(ids)
-        hessian: list = [None] * len(ids)  # each row's (grad0, grad1, H / scale, ...)
-        for _ in range(NEWTON_MAXITER):
-            if any(fresh):
-                dots, jwj = derivatives()
-            stopped, closing, t0, t1 = {}, set(), list(u0), list(u1)
-            for k in range(len(ids)):
-                if fresh[k]:
-                    (bqs, apc, bbpc, abqs, apca), (j00, j01, _, j11) = dots[k], jwj[k]
-                    h00 = 2.0 * (j00 + bbpc)
-                    h01 = 2.0 * (j01 - abqs)
-                    h11 = 2.0 * (j11 - apca)
-                    mid = (h00 + h11) / 2.0
-                    half_gap = math.hypot((h00 - h11) / 2.0, h01)
-                    scale = abs(mid) + half_gap
-                    if not 0.0 < scale < math.inf:
-                        stopped[k] = False
-                        continue
-                    lowest = (mid - half_gap) / scale
-                    hessian[k] = (2.0 * bqs, 2.0 * apc, h00 / scale, h01 / scale, h11 / scale, scale,
-                                  lowest, (mid + half_gap) / scale)
-                    if lowest > 0.0:
-                        s0, s1 = _newton_step(hessian[k], 0.0)
-                        if -(hessian[k][0] * s0 + hessian[k][1] * s1) <= 2.0 * NEWTON_RTOL * q[k]:
-                            # a full Newton step lowers q by at most the tolerance:
-                            # take it if it lowers q at all, and stop
-                            closing.add(k)
-                            t0[k], t1[k] = u0[k] + s0, u1[k] + s1
-                            continue
-                lowest = hessian[k][6]
-                if lowest > 0.0:
-                    s0, s1 = _newton_step(hessian[k], damping[k])
-                else:
-                    s0, s1 = _newton_step(hessian[k], max(damping[k], NEWTON_MIN_DAMPING) - 2.0 * lowest)
-                longest = max(abs(s0), abs(s1))
-                if longest > NEWTON_MAX_STEP:
-                    s0, s1 = s0 * (NEWTON_MAX_STEP / longest), s1 * (NEWTON_MAX_STEP / longest)
-                t0[k], t1[k] = u0[k] + s0, u1[k] + s1
-            ok, tq, trial = evaluate(np.array(t0), np.array(t1))
-            lower = [okk and tqk < qk for okk, tqk, qk in zip(ok, tq, q)]
-            for k in range(len(ids)):
-                if k in stopped:
-                    continue
-                if lower[k]:
-                    u0[k], u1[k], q[k] = t0[k], t1[k], tq[k]
-                if k in closing:
-                    stopped[k] = True
-                elif lower[k]:
-                    damping[k] /= 10.0
-                elif t0[k] == u0[k] and t1[k] == u1[k]:
-                    stopped[k] = False
-                else:
-                    damping[k] = max(10.0 * damping[k], NEWTON_MIN_DAMPING)
-                fresh[k] = lower[k]
-            if all(lower):
-                point = trial
-            elif any(lower):
-                for current, new in zip(point, trial):
-                    current[lower] = new[lower]
-            for k, converged in stopped.items():
-                finish(k, converged)
-            if stopped:
-                keep = [k for k in range(len(ids)) if k not in stopped]
-                if not keep:
-                    return found
-                rows = [c[keep] for c in rows]
-                point = [c[keep] for c in point]
-                ids, u0, u1, q, damping, fresh, hessian = (
-                    [x[k] for k in keep] for x in (ids, u0, u1, q, damping, fresh, hessian)
-                )
-    for k in range(len(ids)):
-        finish(k, False)
-    return found
+        found = _lockstep((_newton() for _ in stack), step)
+        return [(mu0[k] + u0 * sd[k], g0[k] * np.exp(u1), q, converged)
+                for k, (u0, u1, q, converged) in enumerate(found)]
 
 
 def _prepare(s, lam: Lambda | None = None):

@@ -10,11 +10,12 @@ adjustment that is valid under arbitrary dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .dist import InnovationLaw, _quantile
-from .epps import _prepare, _result, _search
+from .epps import _lockstep, _prepare, _result, _search
 from .errors import InvalidInputError, NortsError, NumericDegeneracyError
 from .lobato import lobato_test
 from .rng import RngStream
@@ -106,88 +107,72 @@ class RpResult:
     per_projection: tuple[tuple[str, float, float], ...]
 
 
-def _directions(law: InnovationLaw, first: np.ndarray, more, n: int | None = None) -> list:
-    """Beta stick-breaking directions, one per row of the uniforms ``first``.
+def _directions(law: InnovationLaw, sources, n: int | None = None) -> list:
+    """Beta stick-breaking directions, one per iterator of ``sources``.
 
-    Row r breaks sticks w_j = v_j * prod(1 - v_i, i < j), the v_j being the
-    ``law`` quantiles of its uniforms: ``first[r]`` (whole chunks of
-    ``_STICK_CHUNK``), then the chunks the iterator ``more(r)`` yields.
-    Sticks are taken until their total reaches ``TRUNCATION_MASS``, and the
-    retained sticks are renormalized and square-rooted so the weights have
-    unit l2 norm.  A direction uses whole chunks, so a redraw starts at the
-    next chunk.  With ``n``, a direction spanning so many lags that fewer
-    than ``MIN_TEST_LENGTH`` of the ``n`` points would remain is redrawn, up
-    to ``_DRAW_ATTEMPTS`` times: the direction law is independent of the
-    data, so conditioning on a usable length keeps the tests exact under the
-    null.
+    Direction r breaks sticks w_j = v_j * prod(1 - v_i, i < j), the v_j
+    being the ``law`` quantiles of the ``_STICK_CHUNK``-uniform chunks that
+    ``sources[r]`` yields.  Sticks are taken until their total reaches
+    ``TRUNCATION_MASS``, and the retained sticks are renormalized and
+    square-rooted so the weights have unit l2 norm.  A direction uses whole
+    chunks, so a redraw starts at the next chunk.  With ``n``, a direction
+    spanning so many lags that fewer than ``MIN_TEST_LENGTH`` of the ``n``
+    points would remain is redrawn, up to ``_DRAW_ATTEMPTS`` times: the
+    direction law is independent of the data, so conditioning on a usable
+    length keeps the tests exact under the null.
 
-    Each round inverts the next chunk of every row still drawing in one
-    call and accumulates its sticks and their total with ``np.cumprod`` and
-    ``np.cumsum``, left to right as one stick at a time does.  Returns, in
-    row order, each row's weights up to and including the first row whose
+    Each direction is a generator run under :func:`norts.epps._lockstep`:
+    each round inverts the next chunk of every direction still drawing in
+    one call and accumulates its sticks and their total with ``np.cumprod``
+    and ``np.cumsum``, left to right as one stick at a time does.  Returns,
+    in order, each direction's weights up to and including the first whose
     draw fails, whose entry is a :class:`NumericDegeneracyError` where
     ``STICK_CAP`` sticks do not reach the mass, or None where every attempt
-    spanned too many lags; the rows after it are given up.
+    spanned too many lags; the directions after it draw no further chunk.
     """
-    rows = first.shape[0]
-    chunks = first.reshape(rows, -1, _STICK_CHUNK)
-    out: list = [None] * rows
-    streams: dict = {}
-    at = [0] * rows  # each row's next chunk
-    attempts = [0] * rows
-    remaining, total = [1.0] * rows, [0.0] * rows
-    parts: list = [[] for _ in range(rows)]  # sticks of each row's attempt, by chunk
-    live, waiting, limit = list(range(rows)), [], rows
-    while live:
-        u = np.empty((len(live), _STICK_CHUNK))
-        for j, r in enumerate(live):
-            if at[r] < chunks.shape[1]:
-                u[j] = chunks[r, at[r]]
-            else:
-                u[j] = next(streams.setdefault(r, more(r)))
-        v = _quantile(law, u)
-        left = np.empty((len(live), _STICK_CHUNK + 1))
-        left[:, 0] = [remaining[r] for r in live]
+    failed = len(sources)  # the first direction whose draw failed
+
+    def draw(r, chunks):
+        nonlocal failed
+        for _ in range(_DRAW_ATTEMPTS):
+            remaining, total, parts, hit = 1.0, 0.0, [], 0
+            while not hit:
+                if failed < r:
+                    return None
+                w, hit, remaining, total = yield next(chunks), remaining, total
+                parts.append(w)
+                # the number of sticks this attempt takes if the mass is reached
+                # in this chunk; one more than the chunk holds if it is not
+                size = _STICK_CHUNK * (len(parts) - 1) + (hit or _STICK_CHUNK + 1)
+                if size > STICK_CAP + 1:
+                    failed = min(failed, r)
+                    return NumericDegeneracyError(
+                        f"stick-breaking with {law.label} failed to reach mass "
+                        f"{TRUNCATION_MASS} within {STICK_CAP} sticks"
+                    )
+            if n is None or n - (size - 1) >= MIN_TEST_LENGTH:
+                weights = np.concatenate(parts)[:size]
+                return np.sqrt(weights / weights.sum())
+        failed = min(failed, r)
+        return None
+
+    def step(ids, asks):
+        u, remaining, total = zip(*asks)
+        v = _quantile(law, np.array(u))
+        left = np.empty((len(ids), _STICK_CHUNK + 1))
+        left[:, 0] = remaining
         np.subtract(1.0, v, out=left[:, 1:])
         np.cumprod(left, axis=1, out=left)
         w = v * left[:, :-1]
         sums = np.empty_like(left)
-        sums[:, 0] = [total[r] for r in live]
+        sums[:, 0] = total
         sums[:, 1:] = w
         np.cumsum(sums, axis=1, out=sums)
         # column 0 holds the total so far, below the mass: argmax 0 means no hit
         hits = (sums >= TRUNCATION_MASS).argmax(axis=1).tolist()
-        going = []
-        for j, r in enumerate(live):
-            at[r] += 1
-            parts[r].append(w[j])
-            # the number of sticks this attempt takes if the mass is reached
-            # in this chunk; one more than the chunk holds if it is not
-            size = _STICK_CHUNK * (len(parts[r]) - 1) + (hits[j] or _STICK_CHUNK + 1)
-            if size > STICK_CAP + 1:
-                out[r] = NumericDegeneracyError(
-                    f"stick-breaking with {law.label} failed to reach mass "
-                    f"{TRUNCATION_MASS} within {STICK_CAP} sticks"
-                )
-                limit = min(limit, r + 1)
-            elif not hits[j]:
-                remaining[r], total[r] = float(left[j, -1]), float(sums[j, -1])
-                going.append(r)
-            elif n is None or n - (size - 1) >= MIN_TEST_LENGTH:
-                weights = np.concatenate(parts[r])[:size]
-                out[r] = np.sqrt(weights / weights.sum())
-            elif attempts[r] + 1 < _DRAW_ATTEMPTS:
-                attempts[r] += 1
-                remaining[r], total[r], parts[r] = 1.0, 0.0, []
-                going.append(r)
-            else:
-                limit = min(limit, r + 1)
-        # a row past its first uniforms waits until every row before it is
-        # finished, so that the rows after a failing one waste little
-        pending = sorted(r for r in going + waiting if r < limit)
-        live = [r for k, r in enumerate(pending) if k == 0 or at[r] < chunks.shape[1]]
-        waiting = [r for k, r in enumerate(pending) if k > 0 and at[r] >= chunks.shape[1]]
-    return out[:limit]
+        return zip(w, hits, left[:, -1].tolist(), sums[:, -1].tolist())
+
+    return _lockstep([draw(r, chunks) for r, chunks in enumerate(sources)], step)[: failed + 1]
 
 
 def stick_breaking_h(a: float, b: float, rng: RngStream) -> ProjectionVector:
@@ -199,13 +184,7 @@ def stick_breaking_h(a: float, b: float, rng: RngStream) -> ProjectionVector:
     norm.  The uniforms are drawn ``_STICK_CHUNK`` at a time, and the
     direction is :func:`_directions`'s on a batch of one.
     """
-    law = InnovationLaw.beta(a, b)
-
-    def more(r):
-        while True:
-            yield rng.uniform(_STICK_CHUNK)
-
-    [weights] = _directions(law, rng.uniform(_STICK_CHUNK)[None, :], more)
+    [weights] = _directions(InnovationLaw.beta(a, b), [map(rng.uniform, repeat(_STICK_CHUNK))])
     if isinstance(weights, NortsError):
         raise weights
     return ProjectionVector(weights)
@@ -262,7 +241,8 @@ def _half_directions(seed: RngStream, indices: range, pars: tuple[float, float],
         while True:
             yield from stream.uniform(first.shape[1]).reshape(-1, _STICK_CHUNK)
 
-    out = _directions(InnovationLaw.beta(*pars), first, more, n)
+    sources = [chain(row.reshape(-1, _STICK_CHUNK), more(r)) for r, row in enumerate(first)]
+    out = _directions(InnovationLaw.beta(*pars), sources, n)
     if out[-1] is None:
         out[-1] = InvalidInputError(
             f"projection {indices[len(out) - 1] + 1}: beta{pars} directions keep spanning "

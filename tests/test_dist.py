@@ -319,6 +319,18 @@ def test_t_far_tail_below_df_2_joins_stdtrit(df):
     np.testing.assert_allclose(t[0], t[1], rtol=1e-15)
 
 
+@pytest.mark.parametrize("df", [1.1, 1.25, 1.5, 1.9, 2.5, 5, 10, 20, 29.5])
+def test_t_quantile_monotone_across_the_far_tail_seam(df):
+    # both routes are a few ulp off, and each ulp of u below dist._T_FAR
+    # moves t by less than that: the far route's values must not step up
+    # past stdtrit's at the seam
+    u = [dist._T_FAR]
+    for _ in range(8):
+        u.insert(0, np.nextafter(u[0], 0.0))
+    t = dist._quantile(InnovationLaw.student_t(df), np.array(u))
+    assert np.all(np.diff(t) >= 0.0), t
+
+
 def test_beta_far_tail_against_mpmath():
     # betaincinv(2, 7, u) is nan below u ~ 1e-187; beta(2, 7) is rp's default law
     import mpmath as mp

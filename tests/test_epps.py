@@ -31,6 +31,7 @@ from norts.epps import (
     NEWTON_MIN_DAMPING,
     NEWTON_RTOL,
     _grid,
+    _lockstep,
     _prepare,
     _result,
     _search,
@@ -506,3 +507,45 @@ class TestStackedSearch:
 
     def test_empty_stack(self):
         assert _search([]) == []
+
+
+class TestLockstep:
+    @staticmethod
+    def counter(name, rounds):
+        """Yields (name, i) for i < rounds, collecting the replies it is sent;
+        returns (name, replies)."""
+        replies = []
+        for i in range(rounds):
+            replies.append((yield name, i))
+        return name, replies
+
+    def test_runs_side_by_side_and_returns_in_order(self):
+        seen = []
+
+        def step(ids, asks):
+            seen.append((list(ids), list(asks)))
+            return [f"{name}{i}" for name, i in asks]
+
+        runs = [self.counter("a", 3), self.counter("b", 1), self.counter("c", 0), self.counter("d", 2)]
+        out = _lockstep(runs, step)
+        assert out == [("a", ["a0", "a1", "a2"]), ("b", ["b0"]), ("c", []), ("d", ["d0", "d1"])]
+        # step sees only the generators still running, in input order
+        assert seen == [
+            ([0, 1, 3], [("a", 0), ("b", 0), ("d", 0)]),
+            ([0, 3], [("a", 1), ("d", 1)]),
+            ([0], [("a", 2)]),
+        ]
+
+    def test_a_generator_that_stops_at_its_first_reply(self):
+        def once():
+            reply = yield "ask"
+            return reply * 2
+
+        assert _lockstep([once(), once()], lambda ids, asks: [len(ids), 5]) == [4, 10]
+
+    def test_empty(self):
+        def step(ids, asks):
+            raise AssertionError("step called with no generators")
+
+        assert _lockstep([], step) == []
+        assert _lockstep(iter([]), step) == []

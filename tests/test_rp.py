@@ -403,6 +403,40 @@ class TestBatchedDirections:
             rp_test(np.arange(300.0) % 7, ProjectionConfig(seed=RngStream(1), k=10))
 
 
+class TestEarlyStop:
+    # beta(1, 1) sticks are the uniforms themselves.  At n = 12 a direction
+    # may span 3 lags: sticks of 0.5 reach the mass at the 30th, so each
+    # attempt is redrawn and the 100th fails; sticks of 1e-300 never reach
+    # it and fail at STICK_CAP, after 313 chunks; 1 - 1e-12 reaches it at once
+    LAW = InnovationLaw.beta(1.0, 1.0)
+
+    def draw(self, values, n=12):
+        calls = [0] * len(values)
+
+        def chunks(r, value):
+            while True:
+                calls[r] += 1
+                yield np.full(_STICK_CHUNK, value)
+
+        return rp._directions(self.LAW, [chunks(r, v) for r, v in enumerate(values)], n), calls
+
+    def test_later_directions_draw_nothing_after_a_failure(self):
+        got, calls = self.draw([0.5, 1e-300, 1e-300])
+        assert got == [None]
+        assert calls == [100, 100, 100]
+
+    def test_list_ends_at_the_failure(self):
+        got, calls = self.draw([1.0 - 1e-12, 0.5, 1e-300, 1.0 - 1e-12])
+        assert len(got) == 2 and same_bits(got[0], np.array([1.0])) and got[1] is None
+        assert calls == [1, 100, 100, 1]
+
+    def test_earlier_directions_run_on_past_a_later_failure(self):
+        got, calls = self.draw([1e-300, 0.5])
+        assert len(got) == 1 and isinstance(got[0], NumericDegeneracyError)
+        assert "within 10000 sticks" in str(got[0])
+        assert calls == [313, 100]
+
+
 class TestErrorOrder:
     def test_draw_failure_after_a_test_failure(self):
         # projection 1's lobato test fails; projection 3's beta(1, 20)
