@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import chi2_sf
-from .errors import InvalidInputError, NumericDegeneracyError
+from .errors import InvalidInputError, NortsError, NumericDegeneracyError
 from .series import _long_enough, _normalized, as_series
 
 __all__ = [
@@ -299,15 +299,6 @@ def _search(stack) -> list:
     size = pts.shape[1]
     order = np.arange(2 * size).reshape(size, 2).T.ravel()
     sd = np.sqrt(g0)
-    b = pts * sd[:, None]
-    # cosine block first, then sine block; the matmuls equal the one-row
-    # products only on C-contiguous operands, which indexing by a list keeps
-    constants = [
-        np.ascontiguousarray(ghat[:, order]),
-        np.ascontiguousarray(weight[:, order[:, None], order]),
-        mu0, g0, sd, pts, pts * pts, b, -b, b * b,
-    ]
-    rows, current = constants, list(range(len(stack)))
 
     def step(ids, asks):
         nonlocal rows, current
@@ -341,9 +332,18 @@ def _search(stack) -> list:
         dots = (left @ right).reshape(-1, 5).tolist()
         return [(okk, qk, (d, j) if t else None) for okk, qk, t, d, j in zip(ok, q, taken, dots, jwj)]
 
-    # a trial point whose variance or damping overflows, or whose q is not
-    # finite, is a failed step, and is rejected without a warning
+    # a trial point whose variance, damping or squared frequencies overflow,
+    # or whose q is not finite, is a failed step, rejected without a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        b = pts * sd[:, None]
+        # cosine block first, then sine block; the matmuls equal the one-row
+        # products only on C-contiguous operands, which indexing by a list keeps
+        constants = [
+            np.ascontiguousarray(ghat[:, order]),
+            np.ascontiguousarray(weight[:, order[:, None], order]),
+            mu0, g0, sd, pts, pts * pts, b, -b, b * b,
+        ]
+        rows, current = constants, list(range(len(stack)))
         found = _lockstep((_newton() for _ in stack), step)
         return [(mu0[k] + u0 * sd[k], g0[k] * np.exp(u1), q, converged)
                 for k, (u0, u1, q, converged) in enumerate(found)]
@@ -368,7 +368,12 @@ def _prepare(s, lam: Lambda | None = None):
     else:
         # the data are scaled by 2**-scale: scale the frequencies inversely,
         # so every product of a frequency and an observation is unchanged
-        lam = Lambda(np.ldexp(lam.points, scale))
+        with np.errstate(over="ignore"):
+            points = np.ldexp(lam.points, scale)
+        if not (np.isfinite(points) & (points > 0.0)).all():
+            raise InvalidInputError(f"frequency grid {lam.points} at the data's scale 2**{scale} "
+                                    "leaves the double range")
+        lam = Lambda(points)
 
     # one matrix of moment terms gives both the sample moments and, once
     # centred, their long-run covariance
@@ -402,6 +407,22 @@ def _result(prepared, found) -> EppsResult:
     )
 
 
+def _caught(f, *args):
+    """``f(*args)``, or the :class:`NortsError` it raises."""
+    try:
+        return f(*args)
+    except NortsError as exc:
+        return exc
+
+
+def _epps_rows(series, lam: Lambda | None = None) -> list:
+    """:func:`epps_test` on each of ``series``: its :class:`EppsResult` or the
+    :class:`NortsError` it raises, each prepared alone and all in one :func:`_search`."""
+    prepared = [_caught(_prepare, s, lam) for s in series]
+    found = iter(_search([p[3] for p in prepared if not isinstance(p, NortsError)]))
+    return [p if isinstance(p, NortsError) else _caught(_result, p, next(found)) for p in prepared]
+
+
 def epps_test(s, lam: Lambda | None = None) -> EppsResult:
     """Characteristic-function normality test.
 
@@ -419,5 +440,7 @@ def epps_test(s, lam: Lambda | None = None) -> EppsResult:
     holds; the statistic is then n times the lowest form found, and the
     p-value is still reported.
     """
-    prepared = _prepare(s, lam)
-    return _result(prepared, _search([prepared[3]])[0])
+    [res] = _epps_rows([s], lam)
+    if isinstance(res, NortsError):
+        raise res
+    return res

@@ -30,8 +30,8 @@ A worker simulates its chunk of trials as one matrix, in row blocks of a
 bounded size: one batched uniform draw (:meth:`RngStream.uniform_rows`, bit
 for bit the per-trial streams from their uniform ``BURN_IN - k`` on), one
 inverse-CDF call and one ARMA filter along the rows.  A method with a rows
-kernel (lobato) scores the whole block at once; any other method, and any
-row the kernel finds degenerate, runs the method's own runner trial by
+kernel (lobato, epps) scores the whole block at once; any other method, and
+any row the kernel finds degenerate, runs the method's own runner trial by
 trial, so p-values and error messages are those of the single-series test.
 The optional timing column is the cell's wall time divided by its trials,
 an average over the shared blocks rather than a time measured per trial.

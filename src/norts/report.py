@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dist import normal_ppf
-from .epps import Lambda, epps_test
+from .epps import Lambda, _epps_rows, epps_test
 from .errors import InvalidInputError, NortsError
 from .lobato import _lobato_rows, lobato_test
 from .rng import RngStream
@@ -158,8 +158,8 @@ class Method:
     ``alternative`` is the alternative-hypothesis line, with
     ``{name}`` standing for the data name.  Seeded methods draw from a
     stream; unit-root methods are the stationarity pre-tests.  ``rows``, if
-    set, maps a 2-d array to the p-value ``run`` gives on each row with no
-    options, or NaN where the row needs ``run`` itself (for its error).
+    set (lobato, epps), maps a 2-d array to the p-value ``run`` gives on a
+    row with no options, or NaN where the row needs ``run`` itself (its error).
     """
 
     label: str
@@ -195,6 +195,7 @@ METHODS = {
         options=("lam",),
         df=lambda r: r.df,
         notes=_epps_notes,
+        rows=lambda x: np.array([np.nan if isinstance(r, NortsError) else r.p_value for r in _epps_rows(x)]),
     ),
     "rp": Method(
         "k random projections test",

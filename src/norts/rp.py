@@ -15,7 +15,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .dist import InnovationLaw, _quantile
-from .epps import _lockstep, _prepare, _result, _search
+from .epps import _caught, _epps_rows, _lockstep
 from .errors import InvalidInputError, NortsError, NumericDegeneracyError
 from .lobato import lobato_test
 from .rng import RngStream
@@ -276,45 +276,31 @@ def rp_test(s, cfg: ProjectionConfig) -> RpResult:
     at any degree of parallelism.
 
     The per-projection work runs in two batches: each half's directions are
-    drawn together (:func:`_half_directions`), and the minimizations of all
-    the characteristic-function projections run as one stacked search
-    (:func:`norts.epps._search`).  Both give what one projection at a time
-    gives, bit for bit.  Projections run in order up to the first one that
-    fails, and the error raised is that of the lowest-numbered failure.
+    drawn together (:func:`_half_directions`), and the characteristic-function
+    projections are tested in one :func:`norts.epps._epps_rows` call.  Both
+    give what one projection at a time gives, bit for bit.  Every projection
+    before the first failed direction is tested, and the error raised is that
+    of the lowest-numbered failure.
     """
-    s = Series(_normalized(s)[0])
-    n = len(s)
+    s, _ = _normalized(s)
     half = cfg.k // 2
-    per_projection: list = []
-    prepared = []  # (index, epps._prepare output) of each epps projection
-    failure = None
-    try:
-        for indices, pars in ((range(half), cfg.pars1), (range(half, cfg.k), cfg.pars2)):
-            for i, weights in zip(indices, _half_directions(cfg.seed, indices, pars, n)):
-                if isinstance(weights, NortsError):
-                    raise weights
-                # as project_series: a projection that overflows is rejected
-                projected = Series(np.convolve(s.values, weights, mode="valid"))
-                try:
-                    if (i - indices.start) % 2 == 0:
-                        res = lobato_test(projected)
-                        per_projection.append(("lobato", float(res.statistic), float(res.p_value)))
-                    else:
-                        prepared.append((i, _prepare(projected)))
-                        per_projection.append(None)
-                except NortsError as exc:
-                    raise type(exc)(f"projection {i + 1}: {exc}") from exc
-    except NortsError as exc:
-        failure = exc
-    # the searches of the projections before a failure come before it
-    for (i, epps), found in zip(prepared, _search([epps[3] for _, epps in prepared])):
-        try:
-            res = _result(epps, found)
-        except NortsError as exc:
-            raise type(exc)(f"projection {i + 1}: {exc}") from exc
-        per_projection[i] = ("epps", float(res.statistic), float(res.p_value))
-    if failure is not None:
-        raise failure
+    drawn, failed = [], None  # failed: the first direction that is an error
+    for indices, pars in ((range(half), cfg.pars1), (range(half, cfg.k), cfg.pars2)):
+        drawn += _half_directions(cfg.seed, indices, pars, s.size)
+        failed = next((i for i, w in enumerate(drawn) if isinstance(w, NortsError)), None)
+        if failed is not None:
+            break
+    projected = [np.convolve(s, w, mode="valid") for w in drawn[:failed]]
+    names = [("lobato", "epps")[i % half % 2] for i in range(len(projected))]
+    epps = iter(_epps_rows(x for x, name in zip(projected, names) if name == "epps"))
+    per_projection = []
+    for i, (x, name) in enumerate(zip(projected, names)):
+        res = next(epps) if name == "epps" else _caught(lobato_test, x)
+        if isinstance(res, NortsError):
+            raise type(res)(f"projection {i + 1}: {res}") from res
+        per_projection.append((name, float(res.statistic), float(res.p_value)))
+    if failed is not None:
+        raise drawn[failed]
 
     def average(label: str) -> float:
         stats = [stat for name, stat, _ in per_projection if name == label]

@@ -214,8 +214,9 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
     bounded size, each a batched draw that equals those sub-streams bit for
     bit, so the result does not depend on how the work is split.  A
     degenerate replicate is redrawn up to 10 times from the
-    continuation of its own sub-stream (the uniforms after the ones the
-    batch used) and dropped from the count thereafter.
+    continuation of its own sub-stream (redraw d takes its uniforms from
+    d * (100 + n) on), each round's redraws in one batch, and dropped from
+    the count thereafter.
     """
     x, _ = _normalized(s)
     ad_obs = anderson_darling(x)
@@ -237,20 +238,18 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
         idx = np.minimum((u * resid.size).astype(np.int64), resid.size - 1)
         return resid[idx]
 
-    blocks = cfg.seed._uniform_blocks(range(cfg.replications), total_len)
-    stats = np.concatenate(
-        [_ad_rows(_arma_filter(innovations(u), phi)[:, _BURN_IN:]) for _, u in blocks]
-    )
+    def scores(replicates, draw: int) -> np.ndarray:
+        """Statistics of ``replicates`` from uniforms ``draw * total_len`` on."""
+        blocks = cfg.seed._uniform_blocks(replicates, total_len, start=draw * total_len)
+        return np.concatenate(
+            [_ad_rows(_arma_filter(innovations(u), phi)[:, _BURN_IN:]) for _, u in blocks]
+        )
 
-    for r in np.flatnonzero(np.isnan(stats)):
-        rng = cfg.seed.substream(r)
-        rng.uniform(total_len)  # the draws the batch already used
-        for _ in range(_REDRAW_ATTEMPTS):
-            path = _arma_filter(innovations(rng.uniform(total_len)), phi)[_BURN_IN:]
-            redone = _ad_rows(path[None, :])[0]
-            if np.isfinite(redone):
-                stats[r] = redone
-                break
+    stats = scores(range(cfg.replications), 0)
+    for draw in range(1, _REDRAW_ATTEMPTS + 1):
+        redo = np.flatnonzero(np.isnan(stats)).tolist()
+        if redo:
+            stats[redo] = scores(redo, draw)
 
     valid = stats[np.isfinite(stats)]
     used = int(valid.size)

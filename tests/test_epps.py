@@ -11,6 +11,7 @@ from norts import (
     InnovationLaw,
     InvalidInputError,
     Lambda,
+    NortsError,
     NumericDegeneracyError,
     RngStream,
     ScenarioSpec,
@@ -30,6 +31,7 @@ from norts.epps import (
     NEWTON_MAXITER,
     NEWTON_MIN_DAMPING,
     NEWTON_RTOL,
+    _epps_rows,
     _grid,
     _lockstep,
     _prepare,
@@ -507,6 +509,64 @@ class TestStackedSearch:
 
     def test_empty_stack(self):
         assert _search([]) == []
+
+
+def outcome(f, *args):
+    """``f(*args)``'s fields, or the type and message of the error it raises."""
+    try:
+        return fields(f(*args))
+    except NortsError as exc:
+        return type(exc), str(exc)
+
+
+class TestEppsRows:
+    def test_mixed_block_equals_epps_test_row_by_row(self):
+        # constant, too short and rank <= 2 series among ordinary ones; the
+        # ordinary rows search together in one stack
+        series = search_series(60)
+        series[3] = np.full(50, 2.5)
+        series[8] = np.tile([0.0, 1.0], 40)
+        series[9] = np.r_[np.zeros(99), 1.0]
+        series[20] = series[20][:9]
+        for lam in (None, Lambda((0.5, 1.0, 2.0))):
+            got = _epps_rows(series, lam)
+            assert len(got) == len(series)
+            for i, (x, res) in enumerate(zip(series, got)):
+                as_outcome = (type(res), str(res)) if isinstance(res, NortsError) else fields(res)
+                assert as_outcome == outcome(epps_test, x, lam), i
+            assert {type(res) for res in got} == {EppsResult, InvalidInputError, NumericDegeneracyError}
+
+    def test_takes_an_iterator_and_rows_of_a_block(self):
+        block = np.stack([simulate_arma(ArmaSpec(ar=(0.3,)), 80, 50, RngStream(i, 12)).values
+                          for i in range(5)])
+        expected = [fields(epps_test(x)) for x in block]
+        assert [fields(r) for r in _epps_rows(block)] == expected
+        assert [fields(r) for r in _epps_rows(iter(block))] == expected
+        assert _epps_rows([]) == []
+
+
+class TestGridAtExtremeScales:
+    def test_huge_data_with_a_given_grid_warns_nothing(self):
+        x = simulate_arma(ArmaSpec(ar=(0.4,)), 100, 50, RngStream(81)).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = epps_test(x * 2.0**1015, Lambda((1.0, 2.0)))
+        assert np.isfinite(r.statistic) and 0.0 <= r.p_value <= 1.0
+
+    @pytest.mark.parametrize("largest, lam, scale", [
+        (1.7e308, (1.0, 2.0), "2**1024"),
+        (1e-300, (1e-300, 2e-300), "2**-996"),
+    ])
+    def test_a_grid_past_the_double_range_names_the_grid_and_the_scale(self, largest, lam, scale):
+        x = simulate_arma(ArmaSpec(ar=(0.4,)), 100, 50, RngStream(81)).values
+        x = x * (largest / np.abs(x).max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as raised:
+                epps_test(x, Lambda(lam))
+        assert str(raised.value) == (
+            f"frequency grid {Lambda(lam).points} at the data's scale {scale} leaves the double range"
+        )
 
 
 class TestLockstep:

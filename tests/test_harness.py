@@ -110,6 +110,23 @@ class TestRunScenario:
         with pytest.raises(InvalidInputError, match="scenario failed: trial 1: series has zero variance"):
             run_scenario(spec, RngStream(2107))
 
+    def test_degenerate_rows_defer_to_epps_test(self, monkeypatch):
+        def filtered(eps, ar):
+            x = series._arma_filter(eps, ar)
+            x[1] = 1.0  # zero variance
+            x[3, -100:] = np.tile([0.0, 1.0], 50)  # rank 1
+            return x
+
+        monkeypatch.setattr(harness, "_arma_filter", filtered)
+        spec = ScenarioSpec(phi=0.25, law=InnovationLaw.normal(), n=100, method="epps", trials=5)
+        r = run_scenario(spec, RngStream(2108), skip_failures=True)
+        assert r.failures == (
+            "trial 1: series has zero variance",
+            "trial 3: long-run covariance of the 4 moment conditions has rank 1; more than 2 "
+            "are needed to test 2 fitted parameters",
+        )
+        assert r.trials_used == 3
+
     def test_option_a_method_does_not_take_is_rejected(self):
         # rejected when the cell is built, before any trial runs
         with pytest.raises(InvalidInputError, match="^method 'lobato' takes no option 'k'"):
@@ -319,10 +336,27 @@ def test_chunked_trials_equal_per_trial_series(law, monkeypatch):
                         assert got == expected, (phi, n, chunk, block_rows)
 
 
-@pytest.mark.parametrize(
-    "method, options",
-    [("epps", {}), ("rp", {"k": 4}), ("vavra", {"replications": 100})],
-)
+def test_chunked_epps_trials_equal_per_trial_series(monkeypatch):
+    trials = 12
+    cells = [
+        (InnovationLaw.student_t(3), 0.25, 100),
+        (InnovationLaw.lognormal(), -0.4, 10),
+        (InnovationLaw.beta(7, 1), 0.0, 64),
+        (InnovationLaw.chi_squared(10), 0.4, 250),
+    ]
+    for i, (law, phi, n) in enumerate(cells):
+        spec = ScenarioSpec(phi=phi, law=law, n=n, method="epps", trials=trials)
+        stream = RngStream(2403).substream(i)
+        expected = [per_trial(spec, stream, j) for j in range(trials)]
+        assert all(isinstance(p, float) for p in expected)
+        with monkeypatch.context() as m:
+            # the rows kernel scores every trial: none falls back to epps_test
+            m.setattr(report, "epps_test", None)
+            for chunk, block_rows in ((trials, trials), (5, 3)):
+                assert chunked(spec, stream, chunk, block_rows, m) == expected, (i, chunk)
+
+
+@pytest.mark.parametrize("method, options", [("rp", {"k": 4}), ("vavra", {"replications": 100})])
 def test_chunked_trials_of_unbatched_methods_equal_per_trial_series(method, options, monkeypatch):
     spec = ScenarioSpec(
         phi=0.25, law=InnovationLaw.student_t(3), n=100, method=method,

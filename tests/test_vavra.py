@@ -338,3 +338,60 @@ class TestVavraTest:
         result = vavra_test(s, SieveConfig(seed=RngStream(55), replications=1000))
         assert result.replications_used == 1000
         assert calls == []
+
+        # nor do redraws: replicates forced degenerate are redrawn in batches
+        real_ad_rows = vavra_module._ad_rows
+        redrawn = []
+
+        def forced(x):
+            out = real_ad_rows(x)
+            if x.shape[0] == 1000:
+                out[::100] = np.nan
+            elif x.shape[0] > 1:  # anderson_darling scores the data as one row
+                redrawn.append(x.shape[0])
+            return out
+
+        monkeypatch.setattr(vavra_module, "_ad_rows", forced)
+        result = vavra_test(s, SieveConfig(seed=RngStream(55), replications=1000))
+        assert result.replications_used == 1000
+        assert redrawn == [10]
+        assert calls == []
+
+    @pytest.mark.parametrize("bootstrap", ["normal", "residuals"])
+    def test_second_redraw_continues_the_substream(self, monkeypatch, bootstrap):
+        # Replicate r is forced degenerate on the batch and on its first
+        # redraw; its second redraw must use uniforms 2L .. 3L - 1 of
+        # sub-stream r, L = total_len, while replicate q, degenerate only on
+        # the batch, is redrawn once, from uniforms L .. 2L - 1.
+        s = simulate_arma(ArmaSpec(ar=(0.4,)), 120, 100, RngStream(58))
+        n, r, q, reps = len(s), 11, 4, 150
+        cfg = SieveConfig(seed=RngStream(59), replications=reps, bootstrap=bootstrap)
+        real_ad_rows = vavra_module._ad_rows
+        calls = []
+
+        def forced(x):
+            out = real_ad_rows(x)
+            calls.append(x.copy())
+            if len(calls) == 2:  # the batch, after anderson_darling scores the data
+                out[[q, r]] = np.nan
+            elif len(calls) == 3:  # the first redraw: rows q and r
+                out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(vavra_module, "_ad_rows", forced)
+        assert vavra_test(s, cfg).replications_used == reps
+        assert [c.shape[0] for c in calls] == [1, reps, 2, 1]
+
+        _, phi, resid = fit_ar_sieve(_normalized(s)[0], default_max_order(n))
+        total_len = 100 + n
+
+        def path(replicate, draw):
+            u = cfg.seed.substream(replicate).uniform((draw + 1) * total_len)[draw * total_len :]
+            if bootstrap == "normal":
+                innov = float(np.sqrt(np.mean(resid**2))) * ndtri(u)
+            else:
+                innov = resid[np.minimum((u * resid.size).astype(np.int64), resid.size - 1)]
+            return lfilter([1.0], np.r_[1.0, -phi], innov)[100:]
+
+        np.testing.assert_array_equal(calls[2], [path(q, 1), path(r, 1)])
+        np.testing.assert_array_equal(calls[3], [path(r, 2)])
