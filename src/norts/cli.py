@@ -108,7 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--skip-failures", action="store_true",
                        help="drop failed trials from the denominator instead of aborting")
     p_sim.add_argument("--timing", action="store_true",
-                       help="append the non-reproducible seconds_per_trial column")
+                       help="append the non-reproducible seconds_per_trial column: the wall time "
+                       "since the previous cell's result divided by the cell's trials, which "
+                       "above 1 worker, where cells overlap, is not the cell's own time")
     p_sim.add_argument("--quiet", action="store_true", help="suppress progress lines on stderr")
     _add_common(p_sim, report=False)
     p_sim.add_argument("--out", required=True, help="output CSV path")

@@ -26,19 +26,22 @@ followed by the method on that series with ``stream.substream(j)
 at most in its last bits (below 1e-13 of its standard deviation); at
 phi = 0 and |phi| >= 0.93 it is the same path.
 
-A worker simulates its chunk of trials as one matrix, in row blocks of a
-bounded size: one batched uniform draw (:meth:`RngStream.uniform_rows`, bit
-for bit the per-trial streams from their uniform ``BURN_IN - k`` on), one
-inverse-CDF call and one ARMA filter along the rows.  A method with a rows
-kernel (lobato, epps) scores the whole block at once; any other method, and
-any row the kernel finds degenerate, runs the method's own runner trial by
-trial, so p-values and error messages are those of the single-series test.
-The optional timing column is the cell's wall time divided by its trials,
-an average over the shared blocks rather than a time measured per trial.
+Each cell's trials run in chunks of ceil(trials / workers), in this process
+at 1 worker and in one process pool per run above it.  A chunk is simulated
+as one matrix, in row blocks of a bounded size: one batched uniform draw
+(:meth:`RngStream.uniform_rows`, bit for bit the per-trial streams from
+their uniform ``BURN_IN - k`` on), one inverse-CDF call and one ARMA filter
+along the rows.  A method with a rows kernel (lobato, epps) scores the whole
+block at once; any other method, and any row the kernel finds degenerate,
+runs the method's own runner trial by trial, so p-values and error messages
+are those of the single-series test.  The optional timing column is the
+wall time since the previous cell's result divided by the cell's trials,
+which above 1 worker, where cells overlap, is not the cell's own time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -165,12 +168,39 @@ def _check_workers(workers) -> int:
     return workers
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    rng: RngStream,
-    workers: int = 1,
-    skip_failures: bool = False,
-) -> ScenarioResult:
+def _scenarios(cells, workers: int, skip_failures: bool):
+    """Yield the results of ``cells``, (spec, stream) pairs, in order; the
+    pool is shut down with its pending chunks cancelled on any exit."""
+    jobs = []  # the chunks of each cell
+    for spec, stream in cells:
+        indices, size = list(range(spec.trials)), -(-spec.trials // workers)
+        jobs.append([(spec, stream, indices[i : i + size], skip_failures)
+                     for i in range(0, spec.trials, size)])
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        batches = (pool.map if pool else map)(_trial_batch, itertools.chain.from_iterable(jobs))
+        done = time.perf_counter()
+        for (spec, _), chunks in zip(cells, jobs):
+            results = sorted(r for batch in itertools.islice(batches, len(chunks)) for r in batch)
+            errors = [(j, exc) for j, _, exc in results if exc is not None]
+            failures = tuple(f"trial {j}: {exc}" for j, exc in errors)
+            pvalues = np.array([p for _, p, exc in results if exc is None])
+            used = int(pvalues.size)
+            if errors and not (skip_failures and used):
+                exc = errors[0][1]
+                what = "all trials of the scenario failed" if skip_failures else "scenario failed"
+                raise type(exc)(f"{what}: {failures[0]}") from exc
+            rejections = int(np.sum(pvalues < spec.alpha))
+            started, done = done, time.perf_counter()
+            yield ScenarioResult(rejections / used, rejections, used, failures,
+                                 (done - started) / spec.trials)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def run_scenario(spec: ScenarioSpec, rng: RngStream, workers: int = 1,
+                 skip_failures: bool = False) -> ScenarioResult:
     """Estimate the rejection rate of one scenario.
 
     Failed trials abort the scenario, re-raising the first failure's error
@@ -178,37 +208,8 @@ def run_scenario(
     and excluded from the denominator; if every trial failed, the first
     failure is re-raised all the same.
     """
-    workers = _check_workers(workers)
-    started = time.perf_counter()
-    indices = list(range(spec.trials))
-    if workers == 1:
-        batches = [_trial_batch((spec, rng, indices, skip_failures))]
-    else:
-        chunk = max(1, spec.trials // (workers * 4))
-        jobs = [
-            (spec, rng, indices[i : i + chunk], skip_failures)
-            for i in range(0, spec.trials, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_trial_batch, jobs))
-    results = sorted(r for batch in batches for r in batch)
-    errors = [(j, exc) for j, _, exc in results if exc is not None]
-    failures = tuple(f"trial {j}: {exc}" for j, exc in errors)
-    pvalues = np.array([p for _, p, exc in results if exc is None])
-    used = int(pvalues.size)
-    if errors and not (skip_failures and used):
-        exc = errors[0][1]
-        what = "all trials of the scenario failed" if skip_failures else "scenario failed"
-        raise type(exc)(f"{what}: {failures[0]}") from exc
-    rejections = int(np.sum(pvalues < spec.alpha))
-    elapsed = time.perf_counter() - started
-    return ScenarioResult(
-        rate=rejections / used,
-        rejections=rejections,
-        trials_used=used,
-        failures=failures,
-        seconds_per_trial=elapsed / spec.trials,
-    )
+    [result] = _scenarios([(spec, rng)], _check_workers(workers), skip_failures)
+    return result
 
 
 @dataclass(frozen=True)
@@ -275,22 +276,18 @@ def reproduce_tables(
         for n in ns
     ]
 
-    def run_cells():
-        for spec, stream in cells:
-            r = run_scenario(spec, stream, workers=workers, skip_failures=skip_failures)
-            yield TableRow(spec.method, spec.law.label, spec.phi, spec.n, r.rate, r.trials_used,
-                           r.seconds_per_trial)
-
-    pending = run_cells()
-    first = list(itertools.islice(pending, 1))  # runs before out is opened
     rows = []
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_FIELDS + (("seconds_per_trial",) if timing else ()))
-        for row in itertools.chain(first, pending):
-            rows.append(row)
-            writer.writerow(_format_row(row, timing))
-            fh.flush()
-            if progress is not None:
-                progress(row)
+    with contextlib.closing(_scenarios(cells, workers, skip_failures)) as results:
+        first = list(itertools.islice(results, 1))  # runs before out is opened
+        with open(out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(_CSV_FIELDS + (("seconds_per_trial",) if timing else ()))
+            for r, (spec, _) in zip(itertools.chain(first, results), cells):
+                row = TableRow(spec.method, spec.law.label, spec.phi, spec.n, r.rate,
+                               r.trials_used, r.seconds_per_trial)
+                rows.append(row)
+                writer.writerow(_format_row(row, timing))
+                fh.flush()
+                if progress is not None:
+                    progress(row)
     return rows

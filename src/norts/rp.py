@@ -231,7 +231,7 @@ def _half_directions(seed: RngStream, indices: range, pars: tuple[float, float],
     own sub-stream past them.  :class:`ProjectionVector`'s checks run on all
     the directions at once, and a direction that fails them gets the error
     :class:`ProjectionVector` raises.  Returns, in order, the weights of each
-    projection up to the first whose draw fails, and that one's error.
+    projection up to the first whose draw or check fails, and that one's error.
     """
     first = seed.uniform_rows(indices, _BATCH_CHUNKS * _STICK_CHUNK)
 
@@ -261,7 +261,7 @@ def _half_directions(seed: RngStream, indices: range, pars: tuple[float, float],
             try:
                 ProjectionVector(out[r])
             except NortsError as exc:
-                out[r] = exc
+                return out[:r] + [exc]
     return out
 
 
@@ -284,13 +284,13 @@ def rp_test(s, cfg: ProjectionConfig) -> RpResult:
     """
     s, _ = _normalized(s)
     half = cfg.k // 2
-    drawn, failed = [], None  # failed: the first direction that is an error
+    drawn, failed = [], None  # failed: the error of the first failed direction
     for indices, pars in ((range(half), cfg.pars1), (range(half, cfg.k), cfg.pars2)):
         drawn += _half_directions(cfg.seed, indices, pars, s.size)
-        failed = next((i for i, w in enumerate(drawn) if isinstance(w, NortsError)), None)
-        if failed is not None:
+        if isinstance(drawn[-1], NortsError):
+            failed = drawn.pop()
             break
-    projected = [np.convolve(s, w, mode="valid") for w in drawn[:failed]]
+    projected = [np.convolve(s, w, mode="valid") for w in drawn]
     names = [("lobato", "epps")[i % half % 2] for i in range(len(projected))]
     epps = iter(_epps_rows(x for x, name in zip(projected, names) if name == "epps"))
     per_projection = []
@@ -300,7 +300,7 @@ def rp_test(s, cfg: ProjectionConfig) -> RpResult:
             raise type(res)(f"projection {i + 1}: {res}") from res
         per_projection.append((name, float(res.statistic), float(res.p_value)))
     if failed is not None:
-        raise drawn[failed]
+        raise failed
 
     def average(label: str) -> float:
         stats = [stat for name, stat, _ in per_projection if name == label]

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,14 @@ V50 = [
     -0.172927, 0.24389, 0.913295, -0.981599, 1.249226, -0.183415, -0.339926,
     -0.123798,
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_stray_children():
+    """Fail any test after which a worker process is still running."""
+    yield
+    children = multiprocessing.active_children()
+    assert not children, f"child processes left running: {children}"
 
 
 @pytest.fixture

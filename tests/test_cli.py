@@ -302,7 +302,7 @@ def test_filters_do_not_load_scipy_signal(tmp_path):
 class TestSimulateCommand:
     def test_csv_written_and_deterministic_across_workers(self, tmp_path, capsys):
         outs = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}.csv"
             assert main([
                 "simulate", "--methods", "lobato", "--n", "100", "--m", "30",
@@ -310,7 +310,7 @@ class TestSimulateCommand:
                 "--seed", "77", "--workers", str(workers), "--quiet", "--out", str(out),
             ]) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
         header = outs[0].decode().splitlines()[0]
         assert header == "method,law,phi,n,rate,trials"
 

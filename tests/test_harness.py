@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,13 +33,16 @@ class TestRunScenario:
         assert r.seconds_per_trial > 0
 
     def test_identical_across_worker_counts(self):
-        spec = ScenarioSpec(
-            phi=0.0, law=InnovationLaw.student_t(3), n=120, method="epps", trials=48
-        )
-        serial = run_scenario(spec, RngStream(2101), workers=1)
-        parallel = run_scenario(spec, RngStream(2101), workers=3)
-        assert serial.rate == parallel.rate
-        assert serial.rejections == parallel.rejections
+        # 7 trials at 3 workers run in chunks of 3, 3 and 1
+        for trials in (48, 7):
+            spec = ScenarioSpec(
+                phi=0.0, law=InnovationLaw.student_t(3), n=120, method="epps", trials=trials
+            )
+            serial = run_scenario(spec, RngStream(2101), workers=1)
+            parallel = run_scenario(spec, RngStream(2101), workers=3)
+            assert serial.rate == parallel.rate
+            assert serial.rejections == parallel.rejections
+            assert serial.trials_used == parallel.trials_used == trials
 
     def test_epps_size_at_n100(self):
         spec = ScenarioSpec(phi=0.0, law=InnovationLaw.normal(), n=100, method="epps", trials=500)
@@ -239,6 +243,60 @@ class TestReproduceTables:
             rows = list(csv.reader(fh))
         assert len(ran) == 1
         assert rows == [list(harness._CSV_FIELDS), ["rp", "normal", "0", "100", f"{ran[0].rate:.6f}", "2"]]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The process pools the harness starts, counted as they are made."""
+    made = []
+
+    class Counted(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Counted)
+    return made
+
+
+class TestOnePool:
+    GRID = dict(m=7, phis=(0.0, 0.25), laws=(InnovationLaw.normal(), InnovationLaw.student_t(3)))
+
+    def test_one_per_grid(self, pools, tmp_path):
+        serial = reproduce_tables(("lobato", "epps"), (100,), out=tmp_path / "a.csv", **self.GRID)
+        assert pools == []
+        parallel = reproduce_tables(("lobato", "epps"), (100,), out=tmp_path / "b.csv", workers=2,
+                                    **self.GRID)
+        assert len(parallel) == 8 and pools == [2]
+        assert [r.rate for r in parallel] == [r.rate for r in serial]
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_one_per_scenario(self, pools):
+        spec = ScenarioSpec(phi=0.25, law=InnovationLaw.normal(), n=100, method="lobato", trials=7)
+        serial = run_scenario(spec, RngStream(2300))
+        assert pools == []
+        parallel = run_scenario(spec, RngStream(2300), workers=3)
+        assert parallel == dataclasses.replace(serial, seconds_per_trial=mock.ANY)
+        assert pools == [3]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_grid_exits_as_at_one_worker(self, workers, pools, tmp_path, capsys):
+        # rp at n = 12 cannot draw a projection that leaves 10 points, so the
+        # first cell fails before out is opened
+        out = tmp_path / "keep.csv"
+        out.write_text("method,law,phi,n,rate,trials\nlobato,normal,0,100,0.050000,200\n")
+        before = out.read_bytes()
+        code = main([
+            "simulate", "--methods", "rp", "--k", "4", "--n", "12,100", "--m", "5",
+            "--phis", "0,0.25", "--laws", "normal,t3", "--seed", "3",
+            "--workers", str(workers), "--quiet", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert (code, err) == (3, "norts: invalid input: scenario failed: trial 0: projection 1: "
+                                  "beta(2.0, 7.0) directions keep spanning more than the 12 "
+                                  "available observations\n")
+        assert out.read_bytes() == before
+        assert len(pools) == (workers > 1)
 
 
 def test_power_monotone_plausible_in_n():

@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 
@@ -389,18 +390,27 @@ class TestBatchedDirections:
             assert outcome(rp_test, x, cfg) == expected
 
     def test_checks_run_on_every_direction(self, monkeypatch):
+        # one input per case, the failing direction between two good ones
         good = np.sqrt(np.full(4, 0.25))
-        negative = np.array([-0.6, 0.8])
-        near = np.sqrt(np.array([0.5, 0.5 + 0.9e-9]))  # within the 1e-9 tolerance
-        far = np.sqrt(np.array([0.5, 0.5 + 2e-9]))
-        monkeypatch.setattr(rp, "_directions", lambda *args: [good, negative, near, far, np.array([np.nan])])
-        got = _half_directions(RngStream(1), range(5), (2.0, 7.0), 250)
-        assert same_bits(got[0], good) and same_bits(got[2], near)
-        assert str(got[1]) == "projection weights must be finite and non-negative"
-        assert str(got[3]).startswith("projection weights must have unit l2 norm, got 1.000000002")
-        assert str(got[4]) == "projection weights must be finite and non-negative"
-        with pytest.raises(InvalidInputError, match=r"^projection weights must be finite"):
-            rp_test(np.arange(300.0) % 7, ProjectionConfig(seed=RngStream(1), k=10))
+        finite = r"^projection weights must be finite and non-negative$"
+        cases = [
+            (np.array([-0.6, 0.8]), finite),
+            (np.sqrt(np.array([0.5, 0.5 + 0.9e-9])), None),  # within the 1e-9 tolerance
+            (np.sqrt(np.array([0.5, 0.5 + 2e-9])), r"^projection weights must have unit l2 norm, got 1\.000000002"),
+            (np.array([np.nan]), finite),
+        ]
+        for weights, message in cases:
+            monkeypatch.setattr(rp, "_directions", lambda *args: [good, weights, good])
+            got = _half_directions(RngStream(1), range(3), (2.0, 7.0), 250)
+            assert same_bits(got[0], good)
+            if message is None:
+                assert len(got) == 3 and same_bits(got[1], weights) and same_bits(got[2], good)
+                continue
+            # the list ends at the first direction that fails the check
+            assert len(got) == 2 and isinstance(got[1], InvalidInputError)
+            assert re.match(message, str(got[1]))
+            with pytest.raises(InvalidInputError, match=message):
+                rp_test(np.arange(300.0) % 7, ProjectionConfig(seed=RngStream(1), k=6))
 
 
 class TestEarlyStop:
