@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import chi2_sf
-from .errors import InvalidInputError, NortsError, NumericDegeneracyError
+from .errors import InvalidInputError, NortsError, NumericDegeneracyError, _caught, _one_result
 from .series import _long_enough, _normalized, as_series
 
 __all__ = [
@@ -407,14 +407,6 @@ def _result(prepared, found) -> EppsResult:
     )
 
 
-def _caught(f, *args):
-    """``f(*args)``, or the :class:`NortsError` it raises."""
-    try:
-        return f(*args)
-    except NortsError as exc:
-        return exc
-
-
 def _epps_rows(series, lam: Lambda | None = None) -> list:
     """:func:`epps_test` on each of ``series``: its :class:`EppsResult` or the
     :class:`NortsError` it raises, each prepared alone and all in one :func:`_search`."""
@@ -440,7 +432,4 @@ def epps_test(s, lam: Lambda | None = None) -> EppsResult:
     holds; the statistic is then n times the lowest form found, and the
     p-value is still reported.
     """
-    [res] = _epps_rows([s], lam)
-    if isinstance(res, NortsError):
-        raise res
-    return res
+    return _one_result(_epps_rows([s], lam))

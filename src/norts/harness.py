@@ -31,12 +31,13 @@ at 1 worker and in one process pool per run above it.  A chunk is simulated
 as one matrix, in row blocks of a bounded size: one batched uniform draw
 (:meth:`RngStream.uniform_rows`, bit for bit the per-trial streams from
 their uniform ``BURN_IN - k`` on), one inverse-CDF call and one ARMA filter
-along the rows.  A method with a rows kernel (lobato, epps) scores the whole
-block at once; any other method, and any row the kernel finds degenerate,
-runs the method's own runner trial by trial, so p-values and error messages
-are those of the single-series test.  The optional timing column is the
-wall time since the previous cell's result divided by the cell's trials,
-which above 1 worker, where cells overlap, is not the cell's own time.
+along the rows.  The method's batch entry, the one ``test_dispatch`` runs
+on one series, gives each trial's result or error: lobato and epps score
+the block at once, rp and vavra trial by trial as the results are read,
+so a chunk without ``skip_failures`` stops at its first failure.  The
+optional timing column is the wall time since the previous cell's result
+divided by the cell's trials, which above 1 worker, where cells overlap,
+is not the cell's own time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -137,27 +137,18 @@ def _trial_batch(args):
     spec, stream, indices, skip_failures = args
     ar = (spec.phi,) if spec.phi != 0.0 else ()
     k = _burn_in(spec.phi)
-    method = METHODS[spec.method]
-    # a rows kernel scores the method as it runs with no options
-    rows = None if spec.method_options else method.rows
+    batch = METHODS[spec.method].batch
     out = []
-    # trial j simulates from sub-stream (j, 0), as the module docstring states
+    # trial j simulates from sub-stream (j, 0) and tests with (j, 1)
     for trials, u in stream._uniform_blocks(indices, k + spec.n, tail=(0,), start=BURN_IN - k):
         paths = _arma_filter(_quantile(spec.law, u), ar)[:, -spec.n :]
         del u  # only the paths stay alive while they are scored
-        pvalues = rows(paths) if rows is not None else np.full(len(trials), np.nan)
-        for j, path, p in zip(trials, paths, pvalues.tolist()):
-            if math.isnan(p):
-                # unscored or degenerate: the method runs on the trial itself
-                try:
-                    r = method.run(path, stream.substream(j).substream(1), **spec.method_options)
-                    p = r.p_value
-                except NortsError as exc:
-                    out.append((j, None, exc))
-                    if not skip_failures:
-                        return out
-                    continue
-            out.append((j, p, None))
+        streams = (stream.substream(j).substream(1) for j in trials)
+        for j, r in zip(trials, batch(paths, streams, **spec.method_options)):
+            failed = isinstance(r, NortsError)
+            out.append((j, None, r) if failed else (j, r.p_value, None))
+            if failed and not skip_failures:
+                return out
     return out
 
 

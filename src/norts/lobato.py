@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericDegeneracyError
+from .errors import InvalidInputError, NumericDegeneracyError, _caught, _one_result
 from .dist import chi2_sf
-from .series import _lag_sums, _long_enough, _normalized, _spread_exponents, autocovariances
+from .series import MIN_TEST_LENGTH, _lag_sums, _long_enough, _normalized, _spread_exponents
+from .series import as_series, autocovariances
 
 __all__ = ["LobatoResult", "fk_hat", "lobato_test"]
 
@@ -60,20 +61,34 @@ def fk_hat(s, k: int) -> float:
     return float(_fk(autocovariances(s)[None, :], k)[0])
 
 
-_DEGENERATE = (math.nan,) * 2
-
-
-def _lobato_rows(x: np.ndarray) -> np.ndarray:
-    """lobato_test on each row of a 2-d array, as columns (F3, F4, skewness
-    term, kurtosis term, p-value).
-
-    Each row is first scaled as the input gate scales a series.  The last
-    three columns read NaN on a row where :func:`lobato_test` raises: zero
-    variance, a non-positive studentization sum or a statistic that is not
-    finite.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _unit_rows(np.ldexp(x, -_spread_exponents(x)[1][:, None]))
+def _lobato_rows(block: np.ndarray) -> list:
+    """:func:`lobato_test` on each row of a 2-d array of finite values: the
+    row's :class:`LobatoResult`, or the :class:`NortsError` it raises.  Each
+    row is scaled as the input gate scales a series, and a row the gate
+    rejects (too short, or of zero variance) gets the gate's error."""
+    n = block.shape[1]
+    if n < MIN_TEST_LENGTH:
+        return [_caught(_normalized, row) for row in block]
+    half, k = _spread_exponents(block)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.ldexp(block, -k[:, None])
+        d = x - x.mean(axis=1, keepdims=True)
+        mu2, mu3, mu4 = _moments(d)
+        # one autocovariance sequence per row serves both studentization sums
+        g = _lag_sums(d, n - 1) / n
+        f3, f4 = _fk(g, 3), _fk(g, 4)
+        # squares as products, as in _moments
+        excess = mu4 - 3.0 * (mu2 * mu2)
+        skew = n * (mu3 * mu3) / (6.0 * f3)
+        kurt = n * (excess * excess) / (24.0 * f4)
+        stat = skew + kurt
+        # a non-positive sum gives a negative statistic, which chi2_sf rejects
+        p = chi2_sf(np.where((f3 > 0.0) & (f4 > 0.0), stat, np.nan), 2)
+    columns = (f3.tolist(), f4.tolist(), stat.tolist(), p.tolist(), skew.tolist(), kurt.tolist())
+    out = [_result(*row) for row in zip(*columns)]
+    for i in np.flatnonzero(half == 0.0).tolist():
+        out[i] = _caught(_normalized, block[i])
+    return out
 
 
 def _moments(d: np.ndarray):
@@ -84,32 +99,14 @@ def _moments(d: np.ndarray):
     return d2.mean(axis=1), (d2 * d).mean(axis=1), (d2 * d2).mean(axis=1)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """:func:`_lobato_rows` of rows already at unit spread."""
-    n = x.shape[1]
-    d = x - x.mean(axis=1, keepdims=True)
-    mu2, mu3, mu4 = _moments(d)
-    # one autocovariance sequence per row serves both studentization sums
-    g = _lag_sums(d, n - 1) / n
-    f3, f4 = _fk(g, 3), _fk(g, 4)
-    columns = (mu2.tolist(), mu3.tolist(), mu4.tolist(), f3.tolist(), f4.tolist())
-    terms = np.reshape([_terms(n, *row) for row in zip(*columns)], (-1, 2))
-    p = chi2_sf(terms[:, 0] + terms[:, 1], 2)
-    return np.column_stack([f3, f4, terms, p])
-
-
-def _terms(n: int, mu2: float, mu3: float, mu4: float, f3: float, f4: float):
-    """Skewness and kurtosis terms of one series, in Python floats; NaN where
-    :func:`lobato_test` raises.  The moments come in as products (see
-    :func:`_moments`), and so do the squares here: ``x**2`` on a Python float
-    is the C library's pow, which can miss the rounded product by an ulp and
-    so break exact scaling by powers of two."""
-    if mu2 <= 0.0 or f3 <= 0.0 or f4 <= 0.0:
-        return _DEGENERATE
-    excess = mu4 - 3.0 * (mu2 * mu2)
-    skew_term = n * (mu3 * mu3) / (6.0 * f3)
-    kurt_term = n * (excess * excess) / (24.0 * f4)
-    return (skew_term, kurt_term) if math.isfinite(skew_term + kurt_term) else _DEGENERATE
+def _result(f3: float, f4: float, stat: float, p: float, skew: float, kurt: float):
+    """The :class:`LobatoResult` of one row of :func:`_lobato_rows`, or the
+    :class:`NumericDegeneracyError` :func:`lobato_test` raises on it."""
+    if f3 <= 0.0 or f4 <= 0.0:
+        return NumericDegeneracyError(f"non-positive studentization sum (F3={f3:.6g}, F4={f4:.6g})")
+    if not math.isfinite(stat):
+        return NumericDegeneracyError("the statistic is not finite")
+    return LobatoResult(stat, 2, p, skew, kurt)
 
 
 def lobato_test(s) -> LobatoResult:
@@ -126,18 +123,4 @@ def lobato_test(s) -> LobatoResult:
         scaled to unit spread by an exact power of two, so the moments
         cannot overflow or underflow at any scale of the data.
     """
-    x, _ = _normalized(s)
-    f3, f4, skew_term, kurt_term, p = _unit_rows(x[None, :])[0].tolist()
-    if f3 <= 0.0 or f4 <= 0.0:
-        raise NumericDegeneracyError(
-            f"non-positive studentization sum (F3={f3:.6g}, F4={f4:.6g})"
-        )
-    if math.isnan(p):
-        raise NumericDegeneracyError("the statistic is not finite")
-    return LobatoResult(
-        statistic=skew_term + kurt_term,
-        df=2,
-        p_value=p,
-        skewness_term=skew_term,
-        kurtosis_term=kurt_term,
-    )
+    return _one_result(_lobato_rows(as_series(s).values[None]))

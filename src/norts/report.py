@@ -2,12 +2,12 @@
 plot-data files.
 
 :data:`METHODS` is the one table of the seven tests: for each name it holds
-the runner, the report label, how to read the statistics, degrees of
-freedom and notes off the result, the alternative-hypothesis line and the
-keyword options the runner takes.  :func:`test_dispatch`, the CLI and the
-Monte-Carlo harness all resolve methods through it, one check (``_method``)
-validates a method's name and options for all of them, and the method-name
-tuples are derived from it.
+the batch entry, the report label, how to read the statistics, degrees of
+freedom and notes off a result, the alternative-hypothesis line and the
+keyword options the entry takes.  :func:`test_dispatch` (on one series),
+the CLI and the Monte-Carlo harness (on a block of trials) all run methods
+through it, one check (``_method``) validates a method's name and options
+for all of them, and the method-name tuples are derived from it.
 
 Every test outcome is rendered through :class:`TestReport`, which carries
 the method label, named statistics, degrees of freedom where defined, the
@@ -28,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .dist import normal_ppf
-from .epps import Lambda, _epps_rows, epps_test
-from .errors import InvalidInputError, NortsError
-from .lobato import _lobato_rows, lobato_test
+from .epps import Lambda, _epps_rows
+from .errors import InvalidInputError, NortsError, _caught, _one_result
+from .lobato import _lobato_rows
 from .rng import RngStream
 from .rp import ProjectionConfig, rp_test
 from .series import as_series, autocovariances
@@ -124,10 +124,9 @@ def _stationarity_note(s, alpha: float) -> tuple[str, ...]:
     # advisory only: a pre-check that cannot run becomes a note, not a failure
     if len(s) < MIN_UNIT_ROOT_LENGTH:
         return ()
-    try:
-        pre = adf_test(s)
-    except NortsError as exc:
-        return (f"warning: augmented Dickey-Fuller pre-check failed: {exc}",)
+    pre = _caught(adf_test, s)
+    if isinstance(pre, NortsError):
+        return (f"warning: augmented Dickey-Fuller pre-check failed: {pre}",)
     if not _stationary("adf", pre.p_value, alpha):
         return (
             "warning: augmented Dickey-Fuller does not reject a unit root "
@@ -136,8 +135,18 @@ def _stationarity_note(s, alpha: float) -> tuple[str, ...]:
     return ()
 
 
-def _as_lambda(lam) -> Lambda | None:
-    return lam if lam is None or isinstance(lam, Lambda) else Lambda(tuple(lam))
+def _epps_batch(block, streams, lam=None) -> list:
+    if lam is not None and not isinstance(lam, Lambda):
+        lam = _caught(Lambda, tuple(lam))
+    return [lam] * len(block) if isinstance(lam, NortsError) else _epps_rows(block, lam)
+
+
+def _each_row(test) -> Callable:
+    """A batch entry that runs ``test(row, stream, **options)`` on one row at
+    a time, when the caller asks for its result."""
+    return lambda block, streams, **options: (
+        _caught(test, row, rng, **options) for row, rng in zip(block, streams)
+    )
 
 
 def _epps_notes(r) -> tuple[str, ...]:
@@ -152,18 +161,19 @@ def _table_edge_notes(r) -> tuple[str, ...]:
 class Method:
     """One row of :data:`METHODS`.
 
-    ``run(series, rng, **options)`` returns a result with a ``p_value``;
-    ``options`` names the keyword options it accepts.  The report title is
-    ``label``; ``statistics``, ``df`` and ``notes`` read the result.
-    ``alternative`` is the alternative-hypothesis line, with
-    ``{name}`` standing for the data name.  Seeded methods draw from a
-    stream; unit-root methods are the stationarity pre-tests.  ``rows``, if
-    set (lobato, epps), maps a 2-d array to the p-value ``run`` gives on a
-    row with no options, or NaN where the row needs ``run`` itself (its error).
+    ``batch(block, streams, **options)`` runs the test on each row of a 2-d
+    array of finite values and returns, in row order, each row's result
+    (with a ``p_value``) or the :class:`NortsError` the test raises on it;
+    ``streams`` gives one :class:`RngStream` per row, which only seeded
+    methods draw from.  ``options`` names the keyword options it accepts.
+    The report title is ``label``; ``statistics``, ``df`` and ``notes`` read
+    a result.  ``alternative`` is the alternative-hypothesis line, with
+    ``{name}`` standing for the data name.  Unit-root methods are the
+    stationarity pre-tests.
     """
 
     label: str
-    run: Callable
+    batch: Callable
     statistics: Callable
     alternative: str
     options: tuple[str, ...] = ()
@@ -171,35 +181,32 @@ class Method:
     notes: Callable = lambda r: ()
     seeded: bool = False
     unit_root: bool = False
-    rows: Callable | None = None
 
 
-# Runners look their test up by name at call time, so rebinding a test
-# function in this module (for tracing or in tests) reaches every caller.
+# Batch entries look their test up by name at call time, so rebinding one
+# in this module (for tracing or in tests) reaches every caller.
 # The normality methods come first, in the order whose index selects a
 # method's sub-stream in the Monte-Carlo grid (see harness.reproduce_tables).
 METHODS = {
     "lobato": Method(
         "Lobato and Velasco's test",
-        lambda s, rng: lobato_test(s),
+        lambda block, streams: _lobato_rows(block),
         lambda r: {"lobato": r.statistic},
         GAUSSIAN_ALTERNATIVE,
         df=lambda r: r.df,
-        rows=lambda x: _lobato_rows(x)[:, -1],
     ),
     "epps": Method(
         "Epps test",
-        lambda s, rng, lam=None: epps_test(s, _as_lambda(lam)),
+        _epps_batch,
         lambda r: {"epps": r.statistic},
         GAUSSIAN_ALTERNATIVE,
         options=("lam",),
         df=lambda r: r.df,
         notes=_epps_notes,
-        rows=lambda x: np.array([np.nan if isinstance(r, NortsError) else r.p_value for r in _epps_rows(x)]),
     ),
     "rp": Method(
         "k random projections test",
-        lambda s, rng, **options: rp_test(s, ProjectionConfig(seed=rng, **options)),
+        _each_row(lambda s, rng, **options: rp_test(s, ProjectionConfig(seed=rng, **options))),
         lambda r: {"k": float(r.k), "lobato": r.avg_lobato, "epps": r.avg_epps},
         GAUSSIAN_ALTERNATIVE,
         options=("k", "pars1", "pars2"),
@@ -207,7 +214,7 @@ METHODS = {
     ),
     "vavra": Method(
         "Psaradakis-Vavra test",
-        lambda s, rng, **options: vavra_test(s, SieveConfig(seed=rng, **options)),
+        _each_row(lambda s, rng, **options: vavra_test(s, SieveConfig(seed=rng, **options))),
         lambda r: {"A": r.ad_observed, "bootstrap mean": r.ad_bootstrap_mean},
         GAUSSIAN_ALTERNATIVE,
         options=("replications", "max_order", "bootstrap"),
@@ -215,7 +222,7 @@ METHODS = {
     ),
     "adf": Method(
         "Augmented Dickey-Fuller Test",
-        lambda s, rng: adf_test(s),
+        _each_row(lambda s, rng: adf_test(s)),
         lambda r: {"Dickey-Fuller": r.statistic, "Lag order": float(r.lag_order)},
         "stationary",
         notes=_table_edge_notes,
@@ -223,7 +230,7 @@ METHODS = {
     ),
     "kpss": Method(
         "KPSS Test for Level Stationarity",
-        lambda s, rng: kpss_test(s),
+        _each_row(lambda s, rng: kpss_test(s)),
         lambda r: {"KPSS Level": r.statistic, "Truncation lag": float(r.lag_order)},
         "non-stationary",
         notes=_table_edge_notes,
@@ -231,7 +238,7 @@ METHODS = {
     ),
     "lb": Method(
         "Ljung-Box",
-        lambda s, rng, lags=10: ljung_box(s, lags=int(lags)),
+        _each_row(lambda s, rng, lags=10: ljung_box(s, lags=int(lags))),
         lambda r: {"X-squared": r.statistic},
         "serial correlation present",
         options=("lags",),
@@ -274,7 +281,7 @@ def test_dispatch(
     ``alpha``, which must lie in (0, 1): its warning, or the reason it could
     not run, is attached to the report notes.  Seeded methods draw from
     ``rng`` when given and otherwise auto-seed from entropy, echoing the
-    seed in the notes for replay.  ``options`` go to the method's runner;
+    seed in the notes for replay.  ``options`` go to the method's batch entry;
     an option the method does not take is an input error.
     """
     _check_alpha(alpha)
@@ -287,7 +294,7 @@ def test_dispatch(
     seed_note: tuple[str, ...] = ()
     if spec.seeded:
         rng, seed_note = _auto_stream(rng)
-    r = spec.run(s, rng, **options)
+    r = _one_result(spec.batch(s.values[None], [rng], **options))
     return TestReport(
         method=spec.label,
         statistics=spec.statistics(r),

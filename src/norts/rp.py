@@ -15,8 +15,8 @@ from itertools import chain, repeat
 import numpy as np
 
 from .dist import InnovationLaw, _quantile
-from .epps import _caught, _epps_rows, _lockstep
-from .errors import InvalidInputError, NortsError, NumericDegeneracyError
+from .epps import _epps_rows, _lockstep
+from .errors import InvalidInputError, NortsError, NumericDegeneracyError, _caught
 from .lobato import lobato_test
 from .rng import RngStream
 from .series import MIN_TEST_LENGTH, Series, _normalized, as_series
@@ -258,9 +258,7 @@ def _half_directions(seed: RngStream, indices: range, pars: tuple[float, float],
         # cannot pass a direction that the check itself fails
         off = np.abs(np.add.reduceat(flat * flat, starts) - 1.0) > _UNIT_NORM_TOL / 2
         for r in np.flatnonzero(invalid | off):
-            try:
-                ProjectionVector(out[r])
-            except NortsError as exc:
+            if isinstance(exc := _caught(ProjectionVector, out[r]), NortsError):
                 return out[:r] + [exc]
     return out
 

@@ -76,7 +76,10 @@ def adf_test(s) -> UnitRootReport:
     t-statistic of the lagged level to the trend-case Dickey-Fuller table.
     Small p-values speak against a unit root, i.e. for stationarity.  The
     trend and the lagged level enter centred, which leaves that t-statistic
-    unchanged and keeps the design well conditioned at any offset.
+    unchanged and keeps the design well conditioned at any offset.  A
+    design whose columns, scaled to unit norm, are nearly collinear (as for
+    a period-2 or sine series with little noise) raises
+    :class:`NumericDegeneracyError`.
     """
     x, _ = _normalized(s, MIN_UNIT_ROOT_LENGTH)
     n = x.size
@@ -94,6 +97,11 @@ def adf_test(s) -> UnitRootReport:
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
         raise NumericDegeneracyError("Dickey-Fuller regression design is rank deficient")
+    # scaled columns tell a collinear design from a long trend, whose raw
+    # singular values are as far apart
+    sv = np.linalg.svd(design / np.linalg.norm(design, axis=0), compute_uv=False)
+    if sv[-1] <= 1e-8 * sv[0]:
+        raise NumericDegeneracyError("Dickey-Fuller regression design is nearly collinear")
     resid = y - design @ coef
     dof = rows - design.shape[1]
     sigma2 = float(resid @ resid) / dof

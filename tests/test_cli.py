@@ -173,6 +173,20 @@ class TestExitCodes:
         assert main(["test", "--method", "lobato", str(p)]) == 4
         assert "numeric degeneracy: non-positive studentization sum" in capsys.readouterr().err
 
+    def test_nearly_collinear_adf_design_is_4(self, tmp_path, capsys):
+        # period 2 plus 1e-9 noise: lstsq finds full rank, but the design is
+        # nearly collinear; lobato runs and notes that its pre-check failed
+        x = np.tile([0.0, 1.0], 125) + 1e-9 * np.random.default_rng(1).standard_normal(250)
+        p = tmp_path / "flip.csv"
+        p.write_text("\n".join(repr(v) for v in x.tolist()) + "\n")
+        degenerate = "norts: numeric degeneracy: Dickey-Fuller regression design is nearly collinear\n"
+        for argv in (["test", "--method", "adf"], ["check", "--seed", "1"]):
+            assert main([*argv, str(p)]) == 4
+            assert capsys.readouterr().err == degenerate
+        assert main(["test", "--method", "lobato", str(p)]) == 0
+        assert ("note: warning: augmented Dickey-Fuller pre-check failed: Dickey-Fuller "
+                "regression design is nearly collinear") in capsys.readouterr().out
+
     @pytest.mark.parametrize("method", ["lobato", "rp"])
     def test_extreme_scale_exits_0(self, method, tmp_path, capsys):
         # moments of these series lie outside double range; the tests run on

@@ -9,11 +9,13 @@ from norts import (
     ArmaSpec,
     InnovationLaw,
     InvalidInputError,
+    Lambda,
     NortsError,
     NumericDegeneracyError,
     RngStream,
     ScenarioSpec,
     reproduce_tables,
+    epps_test,
     run_scenario,
     simulate_arma,
 )
@@ -74,13 +76,11 @@ class TestRunScenario:
             run_scenario(spec, RngStream(2105))
 
     def test_failure_keeps_its_error_class(self, monkeypatch, tmp_path, capsys):
-        def degenerate(s, rng):
-            raise NumericDegeneracyError("forced breakdown")
+        def degenerate(block, streams):
+            return [NumericDegeneracyError("forced breakdown") for _ in block]
 
-        # the rows kernel defers every trial of the chunk to the runner, which fails
-        lobato = dataclasses.replace(
-            report.METHODS["lobato"], run=degenerate, rows=lambda x: np.full(len(x), np.nan)
-        )
+        # every trial of the chunk fails
+        lobato = dataclasses.replace(report.METHODS["lobato"], batch=degenerate)
         monkeypatch.setitem(report.METHODS, "lobato", lobato)
         spec = ScenarioSpec(phi=0.0, law=InnovationLaw.normal(), n=100, method="lobato", trials=3)
         with pytest.raises(NumericDegeneracyError, match="trial 0: forced breakdown"):
@@ -281,22 +281,27 @@ class TestOnePool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_grid_exits_as_at_one_worker(self, workers, pools, tmp_path, capsys):
-        # rp at n = 12 cannot draw a projection that leaves 10 points, so the
-        # first cell fails before out is opened
+        # the first cell fails before out is opened: rp at n = 12 cannot draw
+        # a projection that leaves 10 points, and option values the method's
+        # config rejects fail every trial
         out = tmp_path / "keep.csv"
         out.write_text("method,law,phi,n,rate,trials\nlobato,normal,0,100,0.050000,200\n")
         before = out.read_bytes()
-        code = main([
-            "simulate", "--methods", "rp", "--k", "4", "--n", "12,100", "--m", "5",
-            "--phis", "0,0.25", "--laws", "normal,t3", "--seed", "3",
-            "--workers", str(workers), "--quiet", "--out", str(out),
-        ])
-        err = capsys.readouterr().err
-        assert (code, err) == (3, "norts: invalid input: scenario failed: trial 0: projection 1: "
-                                  "beta(2.0, 7.0) directions keep spanning more than the 12 "
-                                  "available observations\n")
-        assert out.read_bytes() == before
-        assert len(pools) == (workers > 1)
+        cases = [
+            (["rp", "--k", "4", "--n", "12,100"], "projection 1: beta(2.0, 7.0) directions keep "
+                                                  "spanning more than the 12 available observations"),
+            (["rp", "--k", "3", "--n", "100"], "number of projections must be even and >= 2, got 3"),
+            (["vavra", "--reps", "0", "--n", "100"], "replications must be positive"),
+        ]
+        for grid, message in cases:
+            code = main([
+                "simulate", "--methods", *grid, "--m", "5", "--phis", "0,0.25", "--laws", "normal,t3",
+                "--seed", "3", "--workers", str(workers), "--quiet", "--out", str(out),
+            ])
+            err = capsys.readouterr().err
+            assert (code, err) == (3, f"norts: invalid input: scenario failed: trial 0: {message}\n")
+            assert out.read_bytes() == before
+        assert len(pools) == len(cases) * (workers > 1)
 
 
 def test_power_monotone_plausible_in_n():
@@ -345,22 +350,28 @@ def test_short_burn_in_keeps_the_full_burn_in_path(law):
             assert np.all(gap <= 1e-13 * full.std(axis=1)), (phi, np.max(gap / full.std(axis=1)))
 
 
-def per_trial(spec, stream, j):
-    """Trial j as one series, as the harness docstring defines it: the
-    reference for the chunked path."""
+def trial_series(spec, stream, j):
+    """Trial j's series, as the harness docstring defines it."""
     arma = ArmaSpec(ar=(spec.phi,) if spec.phi != 0.0 else (), innovation=spec.law)
-    trial = stream.substream(j)
-    s = trial.substream(0)
+    s = stream.substream(j).substream(0)
     k = harness._burn_in(spec.phi)
     s.uniform(harness.BURN_IN - k)
-    x = simulate_arma(arma, spec.n, k, s)
+    return simulate_arma(arma, spec.n, k, s)
+
+
+def p_value_or_error(test, *args, **kwargs):
     try:
-        rep = report.test_dispatch(
-            spec.method, x, rng=trial.substream(1), warn_stationarity=False, **spec.method_options
-        )
+        return test(*args, **kwargs).p_value
     except NortsError as exc:
         return type(exc), str(exc)
-    return rep.p_value
+
+
+def per_trial(spec, stream, j):
+    """Trial j as one series: the reference for the chunked path."""
+    return p_value_or_error(
+        report.test_dispatch, spec.method, trial_series(spec, stream, j),
+        rng=stream.substream(j).substream(1), warn_stationarity=False, **spec.method_options,
+    )
 
 
 def chunked(spec, stream, chunk, block_rows, monkeypatch):
@@ -386,8 +397,6 @@ def test_chunked_trials_equal_per_trial_series(law, monkeypatch):
             stream = RngStream(2400, stream_id=n).substream(int(10 * phi) + 4)
             expected = [per_trial(spec, stream, j) for j in range(trials)]
             with monkeypatch.context() as m:
-                # the rows kernel scores every trial: none falls back to lobato_test
-                m.setattr(report, "lobato_test", None)
                 for chunk in (trials, trials // 8, trials // 12):
                     for block_rows in (trials, 3):
                         got = chunked(spec, stream, chunk, block_rows, m)
@@ -395,6 +404,8 @@ def test_chunked_trials_equal_per_trial_series(law, monkeypatch):
 
 
 def test_chunked_epps_trials_equal_per_trial_series(monkeypatch):
+    # each trial is epps_test on its series, with the default grid and with
+    # a grid given through method_options
     trials = 12
     cells = [
         (InnovationLaw.student_t(3), 0.25, 100),
@@ -402,16 +413,20 @@ def test_chunked_epps_trials_equal_per_trial_series(monkeypatch):
         (InnovationLaw.beta(7, 1), 0.0, 64),
         (InnovationLaw.chi_squared(10), 0.4, 250),
     ]
-    for i, (law, phi, n) in enumerate(cells):
-        spec = ScenarioSpec(phi=phi, law=law, n=n, method="epps", trials=trials)
-        stream = RngStream(2403).substream(i)
-        expected = [per_trial(spec, stream, j) for j in range(trials)]
-        assert all(isinstance(p, float) for p in expected)
-        with monkeypatch.context() as m:
-            # the rows kernel scores every trial: none falls back to epps_test
-            m.setattr(report, "epps_test", None)
-            for chunk, block_rows in ((trials, trials), (5, 3)):
-                assert chunked(spec, stream, chunk, block_rows, m) == expected, (i, chunk)
+    for lam in (None, (0.5, 1.5)):
+        for i, (law, phi, n) in enumerate(cells):
+            options = {} if lam is None else {"lam": lam}
+            spec = ScenarioSpec(phi=phi, law=law, n=n, method="epps", method_options=options,
+                                trials=trials)
+            stream = RngStream(2403).substream(i)
+            expected = [
+                p_value_or_error(epps_test, trial_series(spec, stream, j), lam and Lambda(lam))
+                for j in range(trials)
+            ]
+            assert all(isinstance(p, float) for p in expected)
+            with monkeypatch.context() as m:
+                for chunk, block_rows in ((trials, trials), (5, 3)):
+                    assert chunked(spec, stream, chunk, block_rows, m) == expected, (lam, i, chunk)
 
 
 @pytest.mark.parametrize("method, options", [("rp", {"k": 4}), ("vavra", {"replications": 100})])

@@ -152,12 +152,18 @@ def test_rows_kernel_equals_lobato_test_row_by_row():
     for i, row in enumerate(x):
         try:
             r = lobato_test(row)
-        except (InvalidInputError, NumericDegeneracyError):
+        except (InvalidInputError, NumericDegeneracyError) as exc:
             raised.append(i)
-            assert np.isnan(rows[i, 2:]).all(), i
+            assert (type(rows[i]), str(rows[i])) == (type(exc), str(exc)), i
             continue
-        assert rows[i, 2:].tolist() == [r.skewness_term, r.kurtosis_term, r.p_value], i
+        assert rows[i] == r, i
     assert raised == [7, 11]
+    assert str(rows[7]) == "series has zero variance"
+    # a block too short for the test: every row gets the gate's length error
+    short = _lobato_rows(x[:2, :9])
+    assert [(type(e), str(e)) for e in short] == [
+        (InvalidInputError, "test requires at least 10 observations, got 9")
+    ] * 2
 
 
 def gate_accepts(values):

@@ -112,12 +112,12 @@ class TestDispatch:
             dispatch("lobato", s50, k=4)
 
     def test_epps_unconverged_note(self, s50, monkeypatch):
-        real = report.epps_test
+        real = report._epps_rows
 
-        def unconverged(s, lam=None):
-            return dataclasses.replace(real(s, lam), converged=False)
+        def unconverged(series, lam=None):
+            return [dataclasses.replace(r, converged=False) for r in real(series, lam)]
 
-        monkeypatch.setattr(report, "epps_test", unconverged)
+        monkeypatch.setattr(report, "_epps_rows", unconverged)
         rep = dispatch("epps", s50, warn_stationarity=False)
         assert rep.notes == ("optimizer stopped before its convergence test held",)
 

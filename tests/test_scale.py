@@ -7,6 +7,7 @@ inputs that differ by a factor 2**j give bit-identical outcomes.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from norts import NortsError, RngStream, check
 from norts.cli import main
 from norts.report import METHODS, CheckConfig
+from norts.report import test_dispatch as dispatch  # alias keeps pytest collection away
 from norts.series import MIN_TEST_LENGTH
 from norts.stationarity import MIN_UNIT_ROOT_LENGTH
 
@@ -27,10 +29,9 @@ MINIMUM = {"adf": MIN_UNIT_ROOT_LENGTH, "kpss": MIN_UNIT_ROOT_LENGTH}
 def outcome(method, x):
     """(statistics and p-value) of the method on x, or (error class, message)."""
     spec = METHODS[method]
-    try:
-        r = spec.run(x, RngStream(17), **OPTIONS.get(method, {}))
-    except NortsError as exc:
-        return type(exc), str(exc)
+    [r] = spec.batch(np.asarray(x, dtype=float)[None], [RngStream(17)], **OPTIONS.get(method, {}))
+    if isinstance(r, NortsError):
+        return type(r), str(r)
     p = r.p_value
     assert math.isfinite(p) and 0.0 <= p <= 1.0, (method, p)
     return (*spec.statistics(r).values(), p)
@@ -112,3 +113,40 @@ def test_check_runs_far_from_the_origin(tmp_path, capsys):
     p.write_text("\n".join(repr(v) for v in OFFSET_120.tolist()) + "\n")
     assert main(["check", "--normality", "lobato", str(p)]) == 0
     assert "Augmented Dickey-Fuller Test" in capsys.readouterr().out
+
+
+# Awkward inputs: periodic, sine, step, spike, trend, random-walk and
+# integer-valued series, each at three lengths and four noise levels.
+def _awkward_series():
+    gen = np.random.default_rng(2500)
+    for n in (30, 64, 250):
+        t = np.arange(n)
+        families = {
+            "period-2": (t % 2).astype(float),
+            "sine": np.sin(2 * np.pi * t / 7),
+            "step": (t >= n // 2).astype(float),
+            "spike": (t == n // 3).astype(float),
+            "trend": t.astype(float),
+            "random walk": np.cumsum(gen.standard_normal(n)),
+            "integer": np.round(3 * gen.standard_normal(n)),
+        }
+        for family, x in families.items():
+            for noise in (0.0, 1e-12, 1e-9, 1e-6):
+                yield f"{family} n={n} noise={noise:g}", x + noise * gen.standard_normal(n)
+
+
+AWKWARD = dict(_awkward_series())
+
+
+@pytest.mark.parametrize("method", tuple(METHODS))
+def test_awkward_inputs_give_a_p_value_or_a_norts_error(method):
+    # through test_dispatch, so the normality tests also run the advisory ADF
+    rng = RngStream(2501) if METHODS[method].seeded else None
+    for case, x in AWKWARD.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                p = dispatch(method, x, rng=rng, **OPTIONS.get(method, {})).p_value
+            except NortsError:
+                continue
+        assert math.isfinite(p) and 0.0 <= p <= 1.0, (case, p)

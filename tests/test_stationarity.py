@@ -4,6 +4,7 @@ import pytest
 from norts import (
     ArmaSpec,
     InvalidInputError,
+    NumericDegeneracyError,
     RngStream,
     Series,
     adf_test,
@@ -109,6 +110,14 @@ class TestAdf:
     def test_short_series_rejected(self, s20):
         with pytest.raises(InvalidInputError):
             adf_test(s20)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_nearly_collinear_design_raises(self, seed):
+        # lstsq finds full rank; inv(X'X) gave a NaN statistic (seed 0) or
+        # numpy's LinAlgError (seed 1)
+        x = np.tile([0.0, 1.0], 125) + 1e-9 * np.random.default_rng(seed).standard_normal(250)
+        with pytest.raises(NumericDegeneracyError, match="nearly collinear"):
+            adf_test(x)
 
 
 class TestKpss:
