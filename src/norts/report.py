@@ -207,7 +207,11 @@ METHODS = {
     "rp": Method(
         "k random projections test",
         _each_row(lambda s, rng, **options: rp_test(s, ProjectionConfig(seed=rng, **options))),
-        lambda r: {"k": float(r.k), "lobato": r.avg_lobato, "epps": r.avg_epps},
+        lambda r: {
+            name: float(v)
+            for name, v in (("k", r.k), ("lobato", r.avg_lobato), ("epps", r.avg_epps))
+            if not np.isnan(v)  # with k = 2 no projection is an epps one
+        },
         GAUSSIAN_ALTERNATIVE,
         options=("k", "pars1", "pars2"),
         seeded=True,

@@ -72,13 +72,15 @@ def adf_test(s) -> UnitRootReport:
     """Augmented Dickey-Fuller unit-root test, trend-included variant.
 
     Regresses the first difference on an intercept, a linear trend, the
-    lagged level and floor((n-1)^(1/3)) lagged differences, and refers the
-    t-statistic of the lagged level to the trend-case Dickey-Fuller table.
-    Small p-values speak against a unit root, i.e. for stationarity.  The
-    trend and the lagged level enter centred, which leaves that t-statistic
-    unchanged and keeps the design well conditioned at any offset.  A
-    design whose columns, scaled to unit norm, are nearly collinear (as for
-    a period-2 or sine series with little noise) raises
+    lagged level and k = floor((n-1)^(1/3)) lagged differences, and refers
+    the t-statistic of the lagged level to the trend-case Dickey-Fuller
+    table.  Small p-values speak against a unit root, i.e. for stationarity.
+    The statistic comes from R of one Householder QR of the columns
+    intercept, centred trend, lagged differences, centred lagged level and
+    response, each scaled to unit norm (none of which changes it):
+    t = R[-2, -1] sign(R[-2, -2]) sqrt(rows - 3 - k) / |R[-1, -1]|.  A
+    regressor pivot |R_jj| at most 1e-8 times the largest (as for a periodic
+    series) means a nearly collinear design; it and an exact fit raise
     :class:`NumericDegeneracyError`.
     """
     x, _ = _normalized(s, MIN_UNIT_ROOT_LENGTH)
@@ -86,27 +88,21 @@ def adf_test(s) -> UnitRootReport:
     d = np.diff(x)
     k = int(np.floor((n - 1) ** (1.0 / 3.0)))
     rows = n - 1 - k
-    y = d[k:]
-    level = x[k : n - 1]
-    design = np.empty((rows, 3 + k))
-    design[:, 0] = 1.0
-    design[:, 1] = np.arange(rows) - (rows - 1) / 2.0  # centred time index of the response
-    design[:, 2] = level - level.mean()  # lagged level
+    cols = np.empty((rows, 4 + k))
+    cols[:, 0] = 1.0
+    cols[:, 1] = np.arange(rows) - (rows - 1) / 2.0  # centred time index of the response
     for j in range(1, k + 1):
-        design[:, 2 + j] = d[k - j : n - 1 - j]
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise NumericDegeneracyError("Dickey-Fuller regression design is rank deficient")
-    # scaled columns tell a collinear design from a long trend, whose raw
-    # singular values are as far apart
-    sv = np.linalg.svd(design / np.linalg.norm(design, axis=0), compute_uv=False)
-    if sv[-1] <= 1e-8 * sv[0]:
+        cols[:, 1 + j] = d[k - j : n - 1 - j]
+    cols[:, -2] = x[k : n - 1] - x[k : n - 1].mean()  # lagged level
+    cols[:, -1] = d[k:]
+    norms = np.linalg.norm(cols, axis=0)
+    r = np.linalg.qr(cols / np.where(norms > 0.0, norms, 1.0), mode="r")
+    pivots = np.abs(np.diag(r))
+    if pivots[:-1].min() <= 1e-8 * pivots[:-1].max():
         raise NumericDegeneracyError("Dickey-Fuller regression design is nearly collinear")
-    resid = y - design @ coef
-    dof = rows - design.shape[1]
-    sigma2 = float(resid @ resid) / dof
-    xtx_inv = np.linalg.inv(design.T @ design)
-    stat = float(coef[2] / np.sqrt(sigma2 * xtx_inv[2, 2]))
+    if pivots[-1] == 0.0:
+        raise NumericDegeneracyError("Dickey-Fuller regression fits the differences exactly")
+    stat = float(r[-2, -1] * np.sign(r[-2, -2]) * np.sqrt(rows - 3 - k) / pivots[-1])
 
     table = _TABLES["dickey_fuller_trend"]
     sizes = np.asarray(table["sample_sizes"], dtype=float)

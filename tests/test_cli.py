@@ -15,7 +15,7 @@ from norts import test_dispatch as dispatch  # alias keeps pytest collection awa
 from norts.cli import build_parser, main
 from norts.harness import TABLE_LAWS
 
-# periodic, so the Dickey-Fuller design is rank deficient; five levels give
+# periodic, so the Dickey-Fuller design is collinear; five levels give
 # epps a moment covariance of full rank
 PERIOD_5 = np.tile([0.0, 1.0, 2.0, 3.0, 4.0], 40)
 
@@ -41,6 +41,28 @@ class TestTestCommand:
         rep = json.loads(capsys.readouterr().out)
         assert rep["method"] == "Epps test"
         assert rep["df"] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["test", "--method", m] for m in ("lobato", "epps", "adf", "kpss", "lb")),
+            ["test", "--method", "rp", "--k", "8"],
+            ["test", "--method", "vavra", "--reps", "200"],
+            ["test", "--method", "rp", "--k", "2"],
+            ["check", "--k", "8"],
+            ["check", "--k", "2"],
+        ],
+    )
+    def test_json_output_is_strict(self, argv, gaussian_csv, capsys):
+        # NaN and Infinity are not JSON; a strict parser rejects them
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        assert main([*argv, "--seed", "3", "--format", "json", str(gaussian_csv)]) == 0
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+        if argv[-1] == "2":
+            stats = rep["statistics"] if argv[0] == "test" else rep["normality"]["statistics"]
+            assert list(stats) == ["k", "lobato"]
 
     def test_rp_with_seed_is_reproducible(self, gaussian_csv, capsys):
         args = ["test", "--method", "rp", "--k", "8", "--seed", "41", str(gaussian_csv)]
@@ -174,8 +196,8 @@ class TestExitCodes:
         assert "numeric degeneracy: non-positive studentization sum" in capsys.readouterr().err
 
     def test_nearly_collinear_adf_design_is_4(self, tmp_path, capsys):
-        # period 2 plus 1e-9 noise: lstsq finds full rank, but the design is
-        # nearly collinear; lobato runs and notes that its pre-check failed
+        # period 2 plus 1e-9 noise: the Dickey-Fuller design is nearly
+        # collinear; lobato runs and notes that its pre-check failed
         x = np.tile([0.0, 1.0], 125) + 1e-9 * np.random.default_rng(1).standard_normal(250)
         p = tmp_path / "flip.csv"
         p.write_text("\n".join(repr(v) for v in x.tolist()) + "\n")
@@ -216,7 +238,7 @@ class TestExitCodes:
         assert main(["test", "--method", method, *extra, str(p)]) == 0
         assert (
             "note: warning: augmented Dickey-Fuller pre-check failed: "
-            "Dickey-Fuller regression design is rank deficient\n"
+            "Dickey-Fuller regression design is nearly collinear\n"
         ) in capsys.readouterr().out
 
     def test_verdict_does_not_change_exit_code(self, tmp_path, capsys):

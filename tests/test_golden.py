@@ -135,7 +135,7 @@ CHECK_JSON_GOLDEN = (
     {
         "stationarity": {
             "method": "Augmented Dickey-Fuller Test",
-            "statistics": {"Dickey-Fuller": -5.184828667159579, "Lag order": 6.0},
+            "statistics": {"Dickey-Fuller": -5.1848286671595005, "Lag order": 6.0},
             "p_value": 0.01,
             "df": None,
             "alternative": "stationary",

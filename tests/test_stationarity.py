@@ -113,11 +113,85 @@ class TestAdf:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_nearly_collinear_design_raises(self, seed):
-        # lstsq finds full rank; inv(X'X) gave a NaN statistic (seed 0) or
-        # numpy's LinAlgError (seed 1)
+        # full rank, but nearly collinear once the columns are scaled
         x = np.tile([0.0, 1.0], 125) + 1e-9 * np.random.default_rng(seed).standard_normal(250)
         with pytest.raises(NumericDegeneracyError, match="nearly collinear"):
             adf_test(x)
+
+
+def adf_svd_oracle(x):
+    """The ADF t-statistic from an SVD of the column-scaled design; two steps
+    of iterative refinement on the residual keep the solution accurate on
+    badly conditioned designs such as I(2) series."""
+    x, _ = _normalized(x)
+    n = x.size
+    d = np.diff(x)
+    k = int(np.floor((n - 1) ** (1 / 3)))
+    rows = n - 1 - k
+    level = x[k : n - 1]
+    lags = [d[k - j : n - 1 - j] for j in range(1, k + 1)]
+    design = np.column_stack(
+        [np.ones(rows), np.arange(rows) - (rows - 1) / 2, *lags, level - level.mean()]
+    )
+    design /= np.linalg.norm(design, axis=0)
+    y = d[k:]
+    u, sv, vt = np.linalg.svd(design, full_matrices=False)
+    coef, resid = np.zeros(design.shape[1]), y
+    for _ in range(3):
+        coef = coef + vt.T @ ((u.T @ resid) / sv)
+        resid = y - design @ coef
+    sigma2 = (resid @ resid) / (rows - design.shape[1])
+    return coef[-1] / np.sqrt(sigma2 * np.sum((vt[:, -1] / sv) ** 2))
+
+
+def _adf_family(name, n, seed):
+    z = np.random.default_rng(seed).standard_normal(n)
+    ar1 = np.asarray(simulate_arma(ArmaSpec(ar=(0.5,)), n, 50, RngStream(seed)).values)
+    return {
+        "ar1": ar1,
+        "random walk": np.cumsum(z),
+        "I(2)": np.cumsum(np.cumsum(z)),
+        "trend": np.arange(n) + z,
+        "offset 1e6": 1e6 + ar1,
+        "scale 1e5": 1e5 * np.cumsum(z),
+        "scale 1e-5": 1e-5 * ar1,
+    }[name]
+
+
+class TestAdfOracle:
+    @pytest.mark.parametrize("n", [30, 250, 1000, 10_000])
+    @pytest.mark.parametrize(
+        "family", ["ar1", "random walk", "I(2)", "trend", "offset 1e6", "scale 1e5", "scale 1e-5"]
+    )
+    def test_statistic_matches_svd_oracle(self, family, n):
+        x = _adf_family(family, n, 1320 + n)
+        assert adf_test(x).statistic == pytest.approx(adf_svd_oracle(x), rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("family, n", [("trend", 100_000), ("I(2)", 50_000)])
+    def test_long_series_match_svd_oracle(self, family, n):
+        # long and badly conditioned, but not collinear
+        x = _adf_family(family, n, 1321)
+        r = adf_test(x)
+        assert np.isfinite(r.statistic) and 0.0 <= r.p_value <= 1.0
+        assert r.statistic == pytest.approx(adf_svd_oracle(x), rel=1e-11, abs=0)
+
+    def test_zero_column_is_nearly_collinear(self):
+        # the first lagged difference is zero on every row of the regression
+        with pytest.raises(NumericDegeneracyError, match="nearly collinear"):
+            adf_test([0.0] * 29 + [1.0])
+
+    def test_exact_fit_raises(self, monkeypatch):
+        # a zero residual pivot never reaches the division
+        qr = np.linalg.qr
+
+        def exact(a, mode):
+            r = qr(a, mode=mode)
+            r[-1, -1] = 0.0
+            return r
+
+        monkeypatch.setattr(np.linalg, "qr", exact)
+        with pytest.raises(NumericDegeneracyError, match="fits the differences exactly"):
+            adf_test(_gaussian(250, 1322))
 
 
 class TestKpss:
