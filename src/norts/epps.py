@@ -19,7 +19,7 @@ import numpy as np
 
 from .dist import chi2_sf
 from .errors import InvalidInputError, NortsError, NumericDegeneracyError, _caught, _one_result
-from .series import _long_enough, _normalized, as_series
+from .series import MIN_TEST_LENGTH, _long_enough, _normalized, _spread_exponents, as_series
 
 __all__ = [
     "Lambda",
@@ -94,22 +94,26 @@ class EppsResult:
     converged: bool
 
 
-def _grid(g0: float) -> Lambda:
+def _grid(g0) -> np.ndarray:
+    """The default frequencies 1 / sd and 2 / sd for a variance (or an array
+    of variances) g0, along a new last axis."""
     sd = np.sqrt(g0)
-    return Lambda((1.0 / sd, 2.0 / sd))
+    return np.stack((1.0 / sd, 2.0 / sd), axis=-1)
 
 
 def g_vector(x: float, lam: Lambda) -> np.ndarray:
     """Interleaved [cos(l1 x), sin(l1 x), ..., cos(lN x), sin(lN x)]."""
-    return _g_matrix(np.array([float(x)]), lam)[0]
+    return _g_matrix(np.array([float(x)]), lam.points)[0]
 
 
-def _g_matrix(values: np.ndarray, lam: Lambda) -> np.ndarray:
-    """:func:`g_vector` of each value, one row per value."""
-    ang = np.outer(values, lam.points)
-    out = np.empty((values.size, 2 * lam.size))
-    out[:, 0::2] = np.cos(ang)
-    out[:, 1::2] = np.sin(ang)
+def _g_matrix(values: np.ndarray, points) -> np.ndarray:
+    """:func:`g_vector` of each value on the grid ``points``, one row per
+    value; on a stack of series (..., n) and their grids (..., N), one
+    (n, 2N) matrix per series."""
+    ang = values[..., :, None] * np.asarray(points)[..., None, :]
+    out = np.empty(ang.shape[:-1] + (2 * ang.shape[-1],))
+    out[..., 0::2] = np.cos(ang)
+    out[..., 1::2] = np.sin(ang)
     return out
 
 
@@ -126,20 +130,22 @@ def g_theta(theta: ThetaParams, lam: Lambda) -> np.ndarray:
 def g_hat(s, lam: Lambda) -> np.ndarray:
     """Sample mean of :func:`g_vector` over the observations."""
     s = as_series(s)
-    return _g_matrix(s.values, lam).mean(axis=0)
+    return _g_matrix(s.values, lam.points).mean(axis=0)
 
 
 def _long_run(d: np.ndarray) -> np.ndarray:
-    # Bartlett-weighted long-run covariance of the (centred) rows of d
-    n = d.shape[0]
+    # Bartlett-weighted long-run covariance of the (centred) rows of d, or
+    # of each matrix of a stack of them, by one matmul per lag
+    n = d.shape[-2]
     m = int(np.floor(n ** (2.0 / 5.0)))
-    mat = d.T @ d
+    d_t = d.swapaxes(-1, -2)
+    mat = d_t @ d
     for i in range(1, m + 1):
         w = 1.0 - i / m
         if w <= 0.0:
             break
-        cross = d[: n - i].T @ d[i:]
-        mat += w * (cross + cross.T)
+        cross = d_t[..., : n - i] @ d[..., i:, :]
+        mat += w * (cross + cross.swapaxes(-1, -2))
     return mat / n
 
 
@@ -152,21 +158,29 @@ def spectral_zero(s, lam: Lambda) -> np.ndarray:
     moment vector; the result is symmetrized.
     """
     s = _long_enough(s)
-    d = _g_matrix(s.values, lam)
+    d = _g_matrix(s.values, lam.points)
     d -= d.mean(axis=0)
     return _long_run(d)
 
 
-def _pinv(mat: np.ndarray) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse of a symmetric matrix and the rank it keeps.
+def _pinv(mat: np.ndarray):
+    """Pseudo-inverse of a symmetric matrix, or of each of a stack of them,
+    and the rank it keeps.
 
     Eigenvalues at or below ``PINV_RCOND`` times the largest magnitude are
-    treated as zero.
+    treated as zero.  A stack of full rank is inverted in one matmul, and
+    any other one matrix at a time over its kept eigenvectors.
     """
     eig, vecs = np.linalg.eigh(mat)
-    keep = np.abs(eig) > PINV_RCOND * np.abs(eig).max()
-    kept = vecs[:, keep]
-    return (kept / eig[keep]) @ kept.T, int(keep.sum())
+    size = np.abs(eig)
+    keep = size > PINV_RCOND * size.max(axis=-1, keepdims=True)
+    if keep.all():
+        return (vecs / eig[..., None, :]) @ vecs.swapaxes(-1, -2), keep.sum(axis=-1)
+    out = np.empty_like(mat)
+    for i in np.ndindex(keep.shape[:-1]):
+        kept = vecs[i][:, keep[i]]
+        out[i] = (kept / eig[i][keep[i]]) @ kept.T
+    return out, keep.sum(axis=-1)
 
 
 def qn(s, theta: ThetaParams, lam: Lambda) -> float:
@@ -349,70 +363,127 @@ def _search(stack) -> list:
                 for k, (u0, u1, q, converged) in enumerate(found)]
 
 
+def _moments(x: np.ndarray, scale, lam: Lambda | None):
+    """The rank and the (ghat, weight, mu0, g0, pts) of a series ``x``
+    scaled by 2**-``scale`` that passed the input gate, whose scaled grid
+    passed its check; or of each row of a stack of them, as arrays with a
+    leading axis: the means are taken along the rows, and the stack has one
+    (rows, n, 2N) ``_g_matrix``, one matmul per Bartlett lag and one
+    ``eigh``."""
+    mu = x.mean(axis=-1)
+    d = x - mu[..., None]
+    g0 = (d * d).mean(axis=-1)
+    if lam is None:
+        points = _grid(g0)
+    else:
+        # the data are scaled by 2**-scale: scale the frequencies inversely,
+        # so every product of a frequency and an observation is unchanged
+        points = np.ldexp(np.asarray(lam.points), np.asarray(scale)[..., None])
+    # one matrix of moment terms gives both the sample moments and, once
+    # centred, their long-run covariance
+    terms = _g_matrix(x, points)
+    ghat = terms.mean(axis=-2)
+    terms -= ghat[..., None, :]
+    weight, rank = _pinv(_long_run(terms))
+    return rank, (ghat, weight, mu, g0, points)
+
+
 def _prepare(s, lam: Lambda | None = None):
     """:func:`epps_test` up to the search, on one series: the input gate, the
     grid, the sample moments and the pseudo-inverted long-run covariance,
     and the rank check.  Returns (n, scale, rank, row), where ``row`` is one
     row of :func:`_search`'s input (ghat, weight, mu0, g0, pts)."""
     x, scale = _normalized(s)
-    n = x.size
-    mu = float(np.mean(x))
-    d = x - mu
-    g0 = float(np.mean(d * d))
-    if lam is None:
-        lam = _grid(g0)
-    elif lam.size > MAX_GRID_SIZE:
-        raise InvalidInputError(
-            f"frequency grids larger than {MAX_GRID_SIZE} points are not supported"
-        )
-    else:
-        # the data are scaled by 2**-scale: scale the frequencies inversely,
-        # so every product of a frequency and an observation is unchanged
+    if lam is not None:
+        if lam.size > MAX_GRID_SIZE:
+            raise InvalidInputError(
+                f"frequency grids larger than {MAX_GRID_SIZE} points are not supported"
+            )
         with np.errstate(over="ignore"):
             points = np.ldexp(lam.points, scale)
         if not (np.isfinite(points) & (points > 0.0)).all():
             raise InvalidInputError(f"frequency grid {lam.points} at the data's scale 2**{scale} "
                                     "leaves the double range")
-        lam = Lambda(points)
-
-    # one matrix of moment terms gives both the sample moments and, once
-    # centred, their long-run covariance
-    terms = _g_matrix(x, lam)
-    ghat = terms.mean(axis=0)
-    terms -= ghat
-    weight, rank = _pinv(_long_run(terms))
+    rank, (ghat, weight, mu, g0, points) = _moments(x, scale, lam)
     if rank <= 2:
         raise NumericDegeneracyError(
-            f"long-run covariance of the {2 * lam.size} moment conditions has rank "
+            f"long-run covariance of the {2 * points.size} moment conditions has rank "
             f"{rank}; more than 2 are needed to test 2 fitted parameters"
         )
-    return n, scale, rank, (ghat, weight, mu, g0, np.asarray(lam.points))
+    return x.size, scale, int(rank), (ghat, weight, float(mu), float(g0), points)
 
 
-def _result(prepared, found) -> EppsResult:
-    """The :class:`EppsResult` of a :func:`_prepare` output and its row of
-    :func:`_search`."""
-    n, scale, rank, _ = prepared
-    mu_hat, sigma2_hat, q, converged = found
-    stat = max(0.0, n * q)
-    df = rank - 2
-    with np.errstate(over="ignore"):
-        theta_hat = ThetaParams(np.ldexp(mu_hat, scale), np.ldexp(sigma2_hat, 2 * scale))
-    return EppsResult(
-        statistic=stat,
-        df=df,
-        p_value=chi2_sf(stat, df),
-        theta_hat=theta_hat,
-        converged=converged,
+def _prepare_rows(block: np.ndarray, lam: Lambda | None = None) -> list:
+    """:func:`_prepare` on each row of a 2-d float array, the rows that pass
+    the input gate and their grid's check stacked in one :func:`_moments`.
+    Each row is scaled as the gate scales a series, and a row that the gate,
+    its grid or the rank check rejects gets the error of :func:`_prepare`
+    on it."""
+    n = block.shape[1]
+    if n < MIN_TEST_LENGTH or lam is not None and lam.size > MAX_GRID_SIZE:
+        return [_caught(_prepare, row, lam) for row in block]
+    # a row with a non-finite value has a non-finite spread
+    with np.errstate(invalid="ignore", over="ignore"):
+        half, scale = _spread_exponents(block)
+        live = np.isfinite(half) & (half > 0.0)
+        if lam is not None:
+            points = np.ldexp(np.asarray(lam.points), scale[:, None])
+            live &= (np.isfinite(points) & (points > 0.0)).all(axis=1)
+    live = np.flatnonzero(live)
+    out = [None] * len(block)
+    rank, (ghat, weight, mu, g0, points) = _moments(
+        np.ldexp(block[live], -scale[live, None]), scale[live], lam
     )
+    rows = zip(live.tolist(), rank.tolist(), ghat, weight, mu.tolist(), g0.tolist(), points)
+    for i, r, *row in rows:
+        if r > 2:
+            out[i] = (n, int(scale[i]), r, tuple(row))
+    return [_caught(_prepare, x, lam) if p is None else p for p, x in zip(out, block)]
+
+
+def _results(prepared, found) -> list:
+    """The :class:`EppsResult` of each :func:`_prepare` output and its row of
+    :func:`_search`, or the :class:`NortsError` it raises; one ``chi2_sf``
+    call per df."""
+    stats = np.array([max(0.0, p[0] * f[2]) for p, f in zip(prepared, found)])
+    dfs = np.array([p[2] - 2 for p in prepared], dtype=int)
+    p_values = np.empty_like(stats)
+    for df in set(dfs.tolist()):
+        p_values[dfs == df] = chi2_sf(stats[dfs == df], df)
+
+    def result(prepared, found, stat, df, p_value):
+        scale = prepared[1]
+        mu_hat, sigma2_hat, _, converged = found
+        with np.errstate(over="ignore"):
+            theta_hat = ThetaParams(np.ldexp(mu_hat, scale), np.ldexp(sigma2_hat, 2 * scale))
+        return EppsResult(statistic=stat, df=df, p_value=p_value, theta_hat=theta_hat,
+                          converged=converged)
+
+    rows = zip(prepared, found, stats.tolist(), dfs.tolist(), p_values.tolist())
+    return [_caught(result, *row) for row in rows]
 
 
 def _epps_rows(series, lam: Lambda | None = None) -> list:
     """:func:`epps_test` on each of ``series``: its :class:`EppsResult` or the
-    :class:`NortsError` it raises, each prepared alone and all in one :func:`_search`."""
-    prepared = [_caught(_prepare, s, lam) for s in series]
-    found = iter(_search([p[3] for p in prepared if not isinstance(p, NortsError)]))
-    return [p if isinstance(p, NortsError) else _caught(_result, p, next(found)) for p in prepared]
+    :class:`NortsError` it raises.  One-dimensional arrays of equal length
+    are prepared as one stack (:func:`_prepare_rows`), any other series
+    alone, and all of them search in one :func:`_search`."""
+    series = list(series)
+    by_length: dict = {}
+    for i, s in enumerate(series):
+        stackable = isinstance(s, np.ndarray) and s.ndim == 1
+        by_length.setdefault(s.size if stackable else -1 - i, []).append(i)
+    prepared = [None] * len(series)
+    for rows in by_length.values():
+        if len(rows) == 1:
+            stack = [_caught(_prepare, series[rows[0]], lam)]
+        else:
+            stack = _prepare_rows(np.array([series[i] for i in rows], dtype=float), lam)
+        for i, p in zip(rows, stack):
+            prepared[i] = p
+    ready = [p for p in prepared if not isinstance(p, NortsError)]
+    results = iter(_results(ready, _search([p[3] for p in ready])))
+    return [p if isinstance(p, NortsError) else next(results) for p in prepared]
 
 
 def epps_test(s, lam: Lambda | None = None) -> EppsResult:

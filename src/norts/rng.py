@@ -57,32 +57,32 @@ def _philox_keys(
 
     Row i equals ``SeedSequence(seed, spawn_key=path + (i,) + tail)
     .generate_state(2, np.uint64)``: the same entropy assembly, pool mixing
-    and output hash, run on uint32 columns over the whole batch.  Indices
-    must be below 2**32 so each contributes one entropy word.
+    and output hash.  The seed-and-path words come first and are the same
+    for every row, so they are mixed in Python ints, once; only the index
+    and tail words are mixed as uint32 columns over the whole batch.
+    Indices must be below 2**32 so each contributes one entropy word.
     """
-    index = np.asarray(indices, dtype=np.uint32)
-    seed_words = _words(seed)
+    entropy = _words(seed)
     # A spawn key is present, so numpy zero-pads the seed to the pool size.
-    prefix = seed_words + [0] * (_POOL_SIZE - len(seed_words))
+    entropy += [0] * (_POOL_SIZE - len(entropy))
     for entry in path:
-        prefix += _words(entry)
-    suffix = [w for entry in tail for w in _words(entry)]
-    entropy = [np.full(index.shape, w, dtype=np.uint32) for w in prefix] + [index]
-    entropy += [np.full(index.shape, w, dtype=np.uint32) for w in suffix]
+        entropy += _words(entry)
+    entropy.append(np.asarray(indices, dtype=np.uint32))
+    for entry in tail:
+        entropy += _words(entry)
     hash_const = _INIT_A
 
+    # on Python ints and on uint32 arrays alike: the masks keep ints to 32 bits
     def hashmix(value):
         nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value *= np.uint32(hash_const)
-        value ^= value >> np.uint32(_XSHIFT)
-        return value
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
 
     def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        result ^= result >> np.uint32(_XSHIFT)
-        return result
+        result = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return result ^ result >> _XSHIFT
 
     pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
@@ -96,11 +96,10 @@ def _philox_keys(
     hash_const = _INIT_B
     state = []
     for word in pool:
-        word = word ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        word *= np.uint32(hash_const)
-        word ^= word >> np.uint32(_XSHIFT)
-        state.append(word.astype(np.uint64))
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        state.append((word ^ word >> _XSHIFT).astype(np.uint64))
     # Words pair up little-endian into the two 64-bit key halves.
     return np.stack(
         [state[0] | (state[1] << np.uint64(32)), state[2] | (state[3] << np.uint64(32))], axis=-1

@@ -39,6 +39,10 @@ _STICK_CHUNK = 32
 # Chunks of uniforms that rp_test draws for every direction at once; a
 # beta(2, 7) direction takes 60 to 100 sticks, within four chunks.
 _BATCH_CHUNKS = 4
+# Chunks that a direction drawing past the batch inverts per quantile call:
+# redraws near rp's minimum length take a few chunks each, and a call to a
+# quantile kernel has a fixed cost.
+_MORE_CHUNKS = 32
 _UNIT_NORM_TOL = 1e-9
 
 
@@ -111,8 +115,8 @@ def _directions(law: InnovationLaw, sources, n: int | None = None) -> list:
     """Beta stick-breaking directions, one per iterator of ``sources``.
 
     Direction r breaks sticks w_j = v_j * prod(1 - v_i, i < j), the v_j
-    being the ``law`` quantiles of the ``_STICK_CHUNK``-uniform chunks that
-    ``sources[r]`` yields.  Sticks are taken until their total reaches
+    being the ``law`` quantiles that ``sources[r]`` yields in chunks of
+    ``_STICK_CHUNK``.  Sticks are taken until their total reaches
     ``TRUNCATION_MASS``, and the retained sticks are renormalized and
     square-rooted so the weights have unit l2 norm.  A direction uses whole
     chunks, so a redraw starts at the next chunk.  With ``n``, a direction
@@ -122,44 +126,54 @@ def _directions(law: InnovationLaw, sources, n: int | None = None) -> list:
     length keeps the tests exact under the null.
 
     Each direction is a generator run under :func:`norts.epps._lockstep`:
-    each round inverts the next chunk of every direction still drawing in
-    one call and accumulates its sticks and their total with ``np.cumprod``
-    and ``np.cumsum``, left to right as one stick at a time does.  Returns,
-    in order, each direction's weights up to and including the first whose
+    each round takes the next chunk of every direction still drawing and
+    accumulates its sticks and their total with ``np.cumprod`` and
+    ``np.cumsum``, left to right as one stick at a time does.  A redraw
+    waits until every earlier direction is done, so that where an earlier
+    one fails, no later one has drawn past its first attempt.  Returns, in
+    order, each direction's weights up to and including the first whose
     draw fails, whose entry is a :class:`NumericDegeneracyError` where
     ``STICK_CAP`` sticks do not reach the mass, or None where every attempt
     spanned too many lags; the directions after it draw no further chunk.
     """
     failed = len(sources)  # the first direction whose draw failed
+    done = [False] * len(sources)
 
     def draw(r, chunks):
         nonlocal failed
-        for _ in range(_DRAW_ATTEMPTS):
-            remaining, total, parts, hit = 1.0, 0.0, [], 0
-            while not hit:
-                if failed < r:
-                    return None
-                w, hit, remaining, total = yield next(chunks), remaining, total
-                parts.append(w)
-                # the number of sticks this attempt takes if the mass is reached
-                # in this chunk; one more than the chunk holds if it is not
-                size = _STICK_CHUNK * (len(parts) - 1) + (hit or _STICK_CHUNK + 1)
-                if size > STICK_CAP + 1:
-                    failed = min(failed, r)
-                    return NumericDegeneracyError(
-                        f"stick-breaking with {law.label} failed to reach mass "
-                        f"{TRUNCATION_MASS} within {STICK_CAP} sticks"
-                    )
-            if n is None or n - (size - 1) >= MIN_TEST_LENGTH:
-                weights = np.concatenate(parts)[:size]
-                return np.sqrt(weights / weights.sum())
-        failed = min(failed, r)
-        return None
+        try:
+            for attempt in range(_DRAW_ATTEMPTS):
+                remaining, total, parts, hit = 1.0, 0.0, [], 0
+                while not hit:
+                    if failed < r:
+                        return None
+                    if attempt and not all(done[:r]):
+                        yield None  # a redraw waits for the earlier directions
+                        continue
+                    w, hit, remaining, total = yield next(chunks), remaining, total
+                    parts.append(w)
+                    # the number of sticks this attempt takes if the mass is
+                    # reached in this chunk; one more than it holds if it is not
+                    size = _STICK_CHUNK * (len(parts) - 1) + (hit or _STICK_CHUNK + 1)
+                    if size > STICK_CAP + 1:
+                        failed = min(failed, r)
+                        return NumericDegeneracyError(
+                            f"stick-breaking with {law.label} failed to reach mass "
+                            f"{TRUNCATION_MASS} within {STICK_CAP} sticks"
+                        )
+                if n is None or n - (size - 1) >= MIN_TEST_LENGTH:
+                    weights = np.concatenate(parts)[:size]
+                    return np.sqrt(weights / weights.sum())
+            failed = min(failed, r)
+            return None
+        finally:
+            done[r] = True
 
     def step(ids, asks):
-        u, remaining, total = zip(*asks)
-        v = _quantile(law, np.array(u))
-        left = np.empty((len(ids), _STICK_CHUNK + 1))
+        drawing = [k for k, ask in enumerate(asks) if ask is not None]
+        v, remaining, total = zip(*(asks[k] for k in drawing))
+        v = np.array(v)
+        left = np.empty((len(drawing), _STICK_CHUNK + 1))
         left[:, 0] = remaining
         np.subtract(1.0, v, out=left[:, 1:])
         np.cumprod(left, axis=1, out=left)
@@ -170,7 +184,10 @@ def _directions(law: InnovationLaw, sources, n: int | None = None) -> list:
         np.cumsum(sums, axis=1, out=sums)
         # column 0 holds the total so far, below the mass: argmax 0 means no hit
         hits = (sums >= TRUNCATION_MASS).argmax(axis=1).tolist()
-        return zip(w, hits, left[:, -1].tolist(), sums[:, -1].tolist())
+        replies = [None] * len(asks)
+        for k, reply in zip(drawing, zip(w, hits, left[:, -1].tolist(), sums[:, -1].tolist())):
+            replies[k] = reply
+        return replies
 
     return _lockstep([draw(r, chunks) for r, chunks in enumerate(sources)], step)[: failed + 1]
 
@@ -184,7 +201,9 @@ def stick_breaking_h(a: float, b: float, rng: RngStream) -> ProjectionVector:
     norm.  The uniforms are drawn ``_STICK_CHUNK`` at a time, and the
     direction is :func:`_directions`'s on a batch of one.
     """
-    [weights] = _directions(InnovationLaw.beta(a, b), [map(rng.uniform, repeat(_STICK_CHUNK))])
+    law = InnovationLaw.beta(a, b)
+    chunks = (_quantile(law, rng.uniform(_STICK_CHUNK)) for _ in repeat(None))
+    [weights] = _directions(law, [chunks])
     if isinstance(weights, NortsError):
         raise weights
     return ProjectionVector(weights)
@@ -227,22 +246,25 @@ def _half_directions(seed: RngStream, indices: range, pars: tuple[float, float],
     projection i breaks its sticks from sub-stream i of ``seed``.
 
     The first ``_BATCH_CHUNKS`` chunks of every sub-stream come from one
-    :meth:`RngStream.uniform_rows` call; a row that needs more continues its
-    own sub-stream past them.  :class:`ProjectionVector`'s checks run on all
+    :meth:`RngStream.uniform_rows` call and one quantile call; a row that
+    needs more continues its own sub-stream past them, ``_MORE_CHUNKS``
+    chunks per quantile call.  :class:`ProjectionVector`'s checks run on all
     the directions at once, and a direction that fails them gets the error
     :class:`ProjectionVector` raises.  Returns, in order, the weights of each
     projection up to the first whose draw or check fails, and that one's error.
     """
-    first = seed.uniform_rows(indices, _BATCH_CHUNKS * _STICK_CHUNK)
+    law = InnovationLaw.beta(*pars)
+    first = _quantile(law, seed.uniform_rows(indices, _BATCH_CHUNKS * _STICK_CHUNK))
 
     def more(r):
         stream = seed.substream(indices[r])
         stream.uniform(first.shape[1])  # the uniforms the batch drew
         while True:
-            yield from stream.uniform(first.shape[1]).reshape(-1, _STICK_CHUNK)
+            v = _quantile(law, stream.uniform(_MORE_CHUNKS * _STICK_CHUNK))
+            yield from v.reshape(-1, _STICK_CHUNK)
 
     sources = [chain(row.reshape(-1, _STICK_CHUNK), more(r)) for r, row in enumerate(first)]
-    out = _directions(InnovationLaw.beta(*pars), sources, n)
+    out = _directions(law, sources, n)
     if out[-1] is None:
         out[-1] = InvalidInputError(
             f"projection {indices[len(out) - 1] + 1}: beta{pars} directions keep spanning "

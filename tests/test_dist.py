@@ -205,6 +205,33 @@ def _gamma_exact(a):
     return solve
 
 
+def _beta_exact(a, b):
+    """The beta(a, b) quantile for integer shapes from the binomial sum
+    I_x(a, b) = sum_{j>=a} C(n, j) x**j (1-x)**(n-j), n = a + b - 1, or its
+    complement above the median, by Newton's method in mpmath."""
+    import mpmath as mp
+
+    n = a + b - 1
+
+    def solve(u, bits):
+        with mp.workprec(bits):
+            lower = u <= 0.5
+            target = mp.mpf(u) if lower else 1 - mp.mpf(u)
+            terms = range(a, n + 1) if lower else range(a)
+            x = mp.mpf(float(dist._beta_int_ppf(a, b, u)))
+            for _ in range(100):
+                y = 1 - x
+                value = mp.fsum(mp.binomial(n, j) * x**j * y ** (n - j) for j in terms)
+                density = a * mp.binomial(n, a) * x ** (a - 1) * y ** (b - 1)
+                step = (value - target) / density
+                x = x - step if lower else x + step
+                if abs(step) <= x * mp.mpf(2) ** (-mp.mp.prec + 10):
+                    return x
+            raise AssertionError(("no convergence", a, b, u))
+
+    return solve
+
+
 @pytest.mark.parametrize(
     "kernel, scipy_ppf, solve, points",
     [
@@ -214,15 +241,22 @@ def _gamma_exact(a):
         (lambda u: dist._gamma_int_ppf(dist._GAMMA_SERIES_MAX, u),
          lambda u: special.gammaincinv(dist._GAMMA_SERIES_MAX, u),
          _gamma_exact(dist._GAMMA_SERIES_MAX), slice(None, None, 8)),
+    ] + [
+        (lambda u, a=a, b=b: dist._beta_int_ppf(a, b, u), lambda u, a=a, b=b: special.betaincinv(a, b, u),
+         _beta_exact(a, b), points)
+        for a, b, points in [(2, 7, slice(None)), (2, 2, slice(None, None, 8)), (5, 3, slice(None, None, 8)),
+                             (2, 10, slice(None, None, 8)), (6, 6, slice(None, None, 8))]
     ],
-    ids=["t3", "gamma5", "gamma1", "gamma-max"],
+    ids=["t3", "gamma5", "gamma1", "gamma-max", "beta(2,7)", "beta(2,2)", "beta(5,3)", "beta(2,10)",
+         "beta(6,6)"],
 )
 def test_quantile_kernels_against_mpmath(kernel, scipy_ppf, solve, points):
     pytest.importorskip("mpmath")
     u = _oracle_points()[points]
     exact = [_exact(solve, float(v)) for v in u]
     ours = np.array([_ulps(x, e) for x, e in zip(kernel(u), exact)])
-    theirs = np.array([_ulps(x, e) for x, e in zip(scipy_ppf(u), exact)])
+    # betaincinv returns nan far in some lower tails
+    theirs = np.array([_ulps(x, e) if np.isfinite(x) else np.inf for x, e in zip(scipy_ppf(u), exact)])
     worse = ours > np.maximum(4.0, theirs)
     assert not worse.any(), list(zip(u[worse], ours[worse], theirs[worse]))
     assert np.median(ours) <= 1.0, np.median(ours)
@@ -240,6 +274,8 @@ def test_t3_draw_at_the_uniform_floor_is_finite():
         (InnovationLaw.student_t(3), (dist._T3_SPLIT, 0.5, 1.0 - dist._T3_SPLIT)),
         (InnovationLaw.chi_squared(10), (0.5,)),
         (InnovationLaw.gamma(2, 1), (0.5,)),
+        (InnovationLaw.beta(2, 7), (0.5,)),
+        (InnovationLaw.beta(6, 6), (0.5,)),
     ],
     ids=lambda v: getattr(v, "label", None),
 )
@@ -259,9 +295,12 @@ def test_other_parameters_keep_scipy():
     np.testing.assert_array_equal(
         dist._quantile(InnovationLaw.gamma(2, shape), u), special.gammaincinv(shape, u) / 2
     )
+    # scipy inverts a = 1 or b = 1 in closed form; n = a + b - 1 past the cap
+    for a, b in [(7, 1), (100, 1), (1, 5), (2, dist._BETA_SUM_MAX), (2.5, 7)]:
+        np.testing.assert_array_equal(dist._quantile(InnovationLaw.beta(a, b), u), special.betaincinv(a, b, u))
 
 
-@pytest.mark.parametrize("law", [InnovationLaw.student_t(3), InnovationLaw.chi_squared(10)])
+@pytest.mark.parametrize("law", [InnovationLaw.student_t(3), InnovationLaw.chi_squared(10), InnovationLaw.beta(2, 7)])
 def test_kernels_keep_the_shape_of_their_input(law):
     u = RngStream(6).uniform(12).reshape(3, 4)
     out = dist._quantile(law, u)

@@ -35,7 +35,7 @@ from norts.epps import (
     _grid,
     _lockstep,
     _prepare,
-    _result,
+    _results,
     _search,
 )
 
@@ -52,7 +52,7 @@ NON_NORMAL = {
 def default_grid(s):
     """epps_test's default grid: (1, 2) over the divisor-n standard deviation."""
     d = s.values - np.mean(s.values)
-    return _grid(float(np.mean(d * d)))
+    return Lambda(tuple(_grid(float(np.mean(d * d)))))
 
 
 def spectral_bruteforce(x, lam):
@@ -83,7 +83,7 @@ def nelder_mead_min(s):
     mu = float(np.mean(x))
     g0 = float(np.mean((x - mu) ** 2))
     sd = np.sqrt(g0)
-    lam = _grid(g0)
+    lam = Lambda(tuple(_grid(g0)))
     ghat = g_hat(s, lam)
     weight = pinv_bruteforce(spectral_zero(s, lam))
 
@@ -457,7 +457,8 @@ def search_series(count=400):
 
 def oracle_epps(x, lam=None):
     prepared = _prepare(x, lam)
-    return _result(prepared, minimize_qn_one_row(*prepared[3]))
+    [res] = _results([prepared], [minimize_qn_one_row(*prepared[3])])
+    return res
 
 
 def fields(r):
@@ -481,8 +482,8 @@ class TestStackedSearch:
         found += _search([p[3] for p in prepared[start:]])
         converged = 0
         for i, (p, f) in enumerate(zip(prepared, found)):
-            expected = _result(p, minimize_qn_one_row(*p[3]))
-            assert fields(_result(p, f)) == fields(expected), i
+            [expected] = _results([p], [minimize_qn_one_row(*p[3])])
+            assert fields(_results([p], [f])[0]) == fields(expected), i
             converged += expected.converged
         # the stack holds rows that stop without converging
         assert 0 < converged < len(prepared)
@@ -543,6 +544,51 @@ class TestEppsRows:
         assert [fields(r) for r in _epps_rows(block)] == expected
         assert [fields(r) for r in _epps_rows(iter(block))] == expected
         assert _epps_rows([]) == []
+
+
+def stacked_series(count=400):
+    """Series in four lengths, so that each length is one stack of
+    ``_prepare_rows``: laws, AR coefficients, offsets and scales mixed, with
+    rounded, constant, period-2 (rank 1), non-finite and extreme-scale rows
+    among them, and one stack too short for the gate."""
+    out = []
+    for i in range(count):
+        n = (60, 61, 120, 246)[i % 4]
+        spec = ArmaSpec(ar=(0.6 * ((i % 5) - 2) / 2,), innovation=SEARCH_LAWS[i % 5])
+        x = simulate_arma(spec, n, 50, RngStream(i, stream_id=13)).values
+        if i % 7 == 3:
+            x = np.round(x * 2.0)
+        x = x * 10.0 ** ((i % 13) - 6) + 100.0 * (i % 3)
+        if i % 37 == 5:
+            x = np.full(n, 2.5)
+        if i % 41 == 6:
+            x = np.tile([0.0, 1.0], n)[:n]
+        if i % 43 == 7:
+            x[n // 2] = np.inf
+        if i % 47 == 8:  # a half spread past 2**1022: a given grid overflows
+            x = (x - (x.max() + x.min()) / 2) / np.ptp(x) * 1.2e308
+        if i % 53 == 9:
+            x = x / np.abs(x).max() * 1e-300
+        out.append(x)
+    return out + [np.arange(9.0), np.arange(9.0) ** 2]
+
+
+class TestStackedPrepare:
+    @pytest.mark.parametrize("lam", [None, Lambda((0.5, 1.0, 2.0))])
+    def test_rows_equal_epps_test_bit_for_bit(self, lam):
+        series = stacked_series()
+        got = _epps_rows(series, lam)
+        for i, (x, res) in enumerate(zip(series, got)):
+            as_outcome = (type(res), str(res)) if isinstance(res, NortsError) else fields(res)
+            assert as_outcome == outcome(epps_test, x, lam), i
+        errors = {str(res).split(" ")[0] for res in got if isinstance(res, NortsError)}
+        assert errors >= {"series", "test", "long-run"}
+        dfs = {res.df for res in got if not isinstance(res, NortsError)}
+        if lam is not None:
+            # rows of every rank from 3 up, inverted one at a time, and grids
+            # that the data's scale takes past the double range
+            assert dfs == {1, 2, 3, 4}
+            assert "frequency" in errors
 
 
 class TestGridAtExtremeScales:

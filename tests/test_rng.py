@@ -116,6 +116,23 @@ def test_batched_keys_with_tail_match_numpy_seed_sequence(tail):
     assert_keys_match_seed_sequence(tail)
 
 
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    path=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3).map(tuple),
+    indices=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    tail=st.sampled_from([(), (0,)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_keys_match_seed_sequence_property(seed, path, indices, tail):
+    # the seed-and-path words are mixed once in Python ints, the index and
+    # tail words as uint32 columns
+    keys = _philox_keys(seed, path, indices, tail)
+    assert keys.shape == (len(indices), 2) and keys.dtype == np.uint64
+    for i, key in zip(indices, keys):
+        ref = SeedSequence(seed, spawn_key=path + (i,) + tail).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(key, ref)
+
+
 def test_uniform_rows_match_numpy_streams():
     for seed in SEEDS:
         for path in PATHS:

@@ -441,10 +441,22 @@ class TestEarlyStop:
         assert calls == [1, 100, 100, 1]
 
     def test_earlier_directions_run_on_past_a_later_failure(self):
+        # direction 1's redraws wait for direction 0, which fails: so
+        # direction 1 draws nothing past its first attempt
         got, calls = self.draw([1e-300, 0.5])
         assert len(got) == 1 and isinstance(got[0], NumericDegeneracyError)
         assert "within 10000 sticks" in str(got[0])
-        assert calls == [313, 100]
+        assert calls == [313, 1]
+
+    def test_redraws_wait_for_the_earlier_directions(self):
+        # every direction spans too many lags: only the first redraws
+        got, calls = self.draw([0.5, 0.5, 0.5])
+        assert got == [None]
+        assert calls == [100, 1, 1]
+        # a redraw starts once every earlier direction has its weights
+        got, calls = self.draw([1.0 - 1e-12, 0.5, 1.0 - 1e-12, 0.5])
+        assert len(got) == 2 and got[1] is None
+        assert calls == [1, 100, 1, 1]
 
 
 class TestErrorOrder:
