@@ -366,7 +366,7 @@ def _search(stack) -> list:
 def _moments(x: np.ndarray, scale, lam: Lambda | None):
     """The rank and the (ghat, weight, mu0, g0, pts) of a series ``x``
     scaled by 2**-``scale`` that passed the input gate, whose scaled grid
-    passed its check; or of each row of a stack of them, as arrays with a
+    passed its checks; or of each row of a stack of them, as arrays with a
     leading axis: the means are taken along the rows, and the stack has one
     (rows, n, 2N) ``_g_matrix``, one matmul per Bartlett lag and one
     ``eigh``."""
@@ -384,7 +384,11 @@ def _moments(x: np.ndarray, scale, lam: Lambda | None):
     terms = _g_matrix(x, points)
     ghat = terms.mean(axis=-2)
     terms -= ghat[..., None, :]
-    weight, rank = _pinv(_long_run(terms))
+    cov = _long_run(terms)
+    # a matrix that is not finite would fail eigh for the whole stack: it
+    # goes in as zeros, of rank 0, which the rank check rejects
+    finite = np.isfinite(cov).all(axis=(-2, -1))
+    weight, rank = _pinv(np.where(finite[..., None, None], cov, 0.0))
     return rank, (ghat, weight, mu, g0, points)
 
 
@@ -401,9 +405,13 @@ def _prepare(s, lam: Lambda | None = None):
             )
         with np.errstate(over="ignore"):
             points = np.ldexp(lam.points, scale)
+            top = np.abs(x).max() * points.max()
         if not (np.isfinite(points) & (points > 0.0)).all():
             raise InvalidInputError(f"frequency grid {lam.points} at the data's scale 2**{scale} "
                                     "leaves the double range")
+        if not np.isfinite(top):
+            raise InvalidInputError(f"frequency grid {lam.points} times the data's largest "
+                                    "magnitude leaves the double range")
     rank, (ghat, weight, mu, g0, points) = _moments(x, scale, lam)
     if rank <= 2:
         raise NumericDegeneracyError(
@@ -415,7 +423,7 @@ def _prepare(s, lam: Lambda | None = None):
 
 def _prepare_rows(block: np.ndarray, lam: Lambda | None = None) -> list:
     """:func:`_prepare` on each row of a 2-d float array, the rows that pass
-    the input gate and their grid's check stacked in one :func:`_moments`.
+    the input gate and their grid's checks stacked in one :func:`_moments`.
     Each row is scaled as the gate scales a series, and a row that the gate,
     its grid or the rank check rejects gets the error of :func:`_prepare`
     on it."""
@@ -429,6 +437,7 @@ def _prepare_rows(block: np.ndarray, lam: Lambda | None = None) -> list:
         if lam is not None:
             points = np.ldexp(np.asarray(lam.points), scale[:, None])
             live &= (np.isfinite(points) & (points > 0.0)).all(axis=1)
+            live &= np.isfinite(np.ldexp(np.abs(block).max(axis=1), -scale) * points.max(axis=1))
     live = np.flatnonzero(live)
     out = [None] * len(block)
     rank, (ghat, weight, mu, g0, points) = _moments(

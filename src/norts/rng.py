@@ -24,12 +24,14 @@ from numpy.random import Generator, Philox, SeedSequence
 from .errors import InvalidInputError
 
 _UINT64_MAX = 2**64 - 1
-# Elements of the uniform matrix that _uniform_blocks draws at a time (8 MB):
-# a 200-trial cell at n = 100 is one block, 1000 vavra replicates at n = 1000
-# are two, and n = 10**4 takes about 100 rows.  A quarter of this cost vavra
-# up to 10 % more CPU: the heap grows and trims once per block, and every
-# block page-faults its temporaries afresh.
+# Elements of the uniform matrix that _uniform_blocks holds at a time (8 MB).
+# Rows are split evenly among the fewest blocks under this bound: a 200-trial
+# cell at n = 100 is one block, 1000 vavra replicates at n = 1000 are two of
+# 500 rows, and n = 10**4 takes blocks of about 100 rows.
 _BLOCK_ELEMENTS = 1 << 20
+# Elements that _uniform_blocks draws and transforms at a time into a
+# time-major block: a chunk and its transform's buffers stay in L2.
+_CHUNK_ELEMENTS = 1 << 16
 
 # Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _MASK32 = 0xFFFFFFFF
@@ -106,6 +108,22 @@ def _philox_keys(
     )
 
 
+def _draw_rows(keys: np.ndarray, size: int, start: int) -> np.ndarray:
+    """:meth:`RngStream.uniform_rows` of the streams with Philox ``keys``."""
+    skip = start % 4
+    out = np.empty((len(keys), skip + size))
+    bitgen = Philox(0)
+    gen = Generator(bitgen)
+    state = bitgen.state  # buffer empty, as in a fresh stream
+    state["state"]["counter"][0] = start // 4
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.random(out=row)
+    out = out[:, skip:]
+    return np.maximum(out, np.finfo(float).tiny, out=out)
+
+
 class RngStream:
     """Deterministic uniform source, splittable into independent sub-streams.
 
@@ -178,29 +196,44 @@ class RngStream:
         that share its block; with ``start % 4`` nonzero the result is a
         view that skips them.
         """
-        keys = _philox_keys(self.seed, self.path, indices, tail)
-        skip = start % 4
-        out = np.empty((len(keys), skip + size))
-        bitgen = Philox(0)
-        gen = Generator(bitgen)
-        state = bitgen.state  # buffer empty, as in a fresh stream
-        state["state"]["counter"][0] = start // 4
-        for row, key in zip(out, keys):
-            state["state"]["key"] = key
-            bitgen.state = state
-            gen.random(out=row)
-        out = out[:, skip:]
-        return np.maximum(out, np.finfo(float).tiny, out=out)
+        return _draw_rows(_philox_keys(self.seed, self.path, indices, tail), size, start)
 
-    def _uniform_blocks(self, indices, size: int, tail: tuple[int, ...] = (), start: int = 0):
-        """:meth:`uniform_rows` of ``indices`` in consecutive row blocks of at
-        most ``_BLOCK_ELEMENTS`` elements (one row at least), as pairs
-        (indices of the block, its uniforms), so that a caller working
-        through the rows holds one block at a time."""
-        block = max(1, _BLOCK_ELEMENTS // size)
-        for first in range(0, len(indices), block):
-            rows = indices[first : first + block]
-            yield rows, self.uniform_rows(rows, size, tail, start)
+    def _uniform_blocks(
+        self, indices, size: int, tail: tuple[int, ...] = (), start: int = 0, transform=None
+    ):
+        """:meth:`uniform_rows` of ``indices`` in consecutive row blocks, as
+        pairs (indices of the block, its uniforms), so that a caller working
+        through the rows holds one block at a time.  The keys of all rows
+        are derived once, and the rows are split evenly among the fewest
+        blocks of at most ``_BLOCK_ELEMENTS`` elements (one row at least).
+
+        With ``transform``, a function of an array of uniforms that may
+        overwrite them, a block comes time-major instead: ``transform`` of
+        its uniforms, transposed, one row per uniform position.  The rows
+        are drawn and transformed about ``_CHUNK_ELEMENTS`` at a time (one
+        row at least) and copied into one (size, rows) array, reused from
+        block to block, so each chunk is transposed while it is still in
+        cache.
+        """
+        keys = _philox_keys(self.seed, self.path, indices, tail)
+        count = len(keys)
+        if not count:
+            return
+        blocks = -(-count // max(1, _BLOCK_ELEMENTS // size))
+        bounds = [count * b // blocks for b in range(blocks + 1)]
+        if transform is not None:
+            out = np.empty((size, -(-count // blocks)))
+            step = max(1, _CHUNK_ELEMENTS // size)
+        for first, last in zip(bounds, bounds[1:]):
+            rows = indices[first:last]
+            if transform is None:
+                yield rows, _draw_rows(keys[first:last], size, start)
+                continue
+            block = out[:, : last - first]
+            for lo in range(first, last, step):
+                hi = min(lo + step, last)
+                block[:, lo - first : hi - first] = transform(_draw_rows(keys[lo:hi], size, start)).T
+            yield rows, block
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path})"

@@ -244,10 +244,12 @@ def _arma_filter(eps: np.ndarray, ar=(), ma=()) -> np.ndarray:
         z_{m-1} <- theta_m x_t + phi_m y_t
 
     lfilter's ``- a_i y_t`` with a = (1, -phi) is exactly ``+ phi_i y_t``.
-    A pure AR filter skips the products theta x_t = x_t * 0.  They can only
-    flip the sign of an exact zero, unless x_t is not finite and x_t * 0 is
-    NaN.  So when some output is not finite, the recursion runs again with
-    them.
+    One series runs in Python floats (:func:`_filter_one`); several run as
+    one time-major copy, filtered in place by :func:`_filter_in_place` and
+    transposed back.  A pure AR filter skips the products theta x_t = x_t *
+    0.  They can only flip the sign of an exact zero, unless x_t is not
+    finite and x_t * 0 is NaN.  So when some output is not finite, the
+    recursion runs again with them.
     """
     eps = np.asarray(eps, dtype=float)
     p, q = len(ar), len(ma)
@@ -262,17 +264,16 @@ def _arma_filter(eps: np.ndarray, ar=(), ma=()) -> np.ndarray:
     theta = np.zeros(m)
     theta[:q] = ma
     run = _filter_one if eps.ndim == 1 else _filter_rows
-    with np.errstate(all="ignore"):  # as in lfilter, inf and NaN pass silently
-        y = run(eps, phi, theta if q else None)
-        # a value that is not finite never turns finite again along a series
-        if q or np.isfinite(y[..., -1:]).all():
-            return y
-        return run(eps, phi, theta)
+    y = run(eps, phi, theta if q else None)
+    # a value that is not finite never turns finite again along a series
+    if q or np.isfinite(y[..., -1:]).all():
+        return y
+    return run(eps, phi, theta)
 
 
 def _filter_one(x: np.ndarray, phi: np.ndarray, theta) -> np.ndarray:
     """:func:`_arma_filter` on one series in Python floats, term for term as
-    :func:`_filter_rows` does it; no MA terms when ``theta`` is None."""
+    :func:`_filter_in_place` does it; no MA terms when ``theta`` is None."""
     xs = x.tolist()
     n, m = len(xs), phi.size
     acc = [0.0] * (n + m)
@@ -296,31 +297,57 @@ def _filter_one(x: np.ndarray, phi: np.ndarray, theta) -> np.ndarray:
 
 
 def _filter_rows(eps: np.ndarray, phi: np.ndarray, theta) -> np.ndarray:
-    """:func:`_arma_filter` on every series along the last axis at once.
-
-    Each step is a few array operations across the series.  Row s of
-    ``acc`` gathers the terms of z_0 at step s, the oldest first, as
-    lfilter's delays pass them down; the row then becomes y_s in place.  A
-    row starts from -0.0, which leaves the first term as it is, except the
-    first m rows, which start from lfilter's zero state.
-    """
+    """:func:`_arma_filter` on every series along the last axis of ``eps``:
+    a time-major copy filtered in place, transposed back."""
     x = eps.reshape(int(np.prod(eps.shape[:-1])), eps.shape[-1])
-    rows, n = x.shape
+    y = np.array(x.T, order="C")
+    _filter_in_place(y, phi, theta)
+    return np.ascontiguousarray(y.T).reshape(eps.shape)
+
+
+# Steps per tile of _filter_in_place's accumulator.
+_TILE = 32
+
+
+def _filter_in_place(y: np.ndarray, phi: np.ndarray, theta=None) -> np.ndarray:
+    """:func:`_arma_filter`'s recursion down axis 0 of the 2-d ``y``, one
+    series per column, in place; returns ``y``.  ``phi`` and ``theta`` hold
+    m coefficients each; no MA terms when ``theta`` is None, and no AR
+    terms (m = 0) leave ``y`` as it is.
+
+    Each step is a few array operations across the series.  Row i of the
+    accumulator ``acc`` gathers the terms of z_0 at step t0 + i of the
+    current tile, the oldest first, as lfilter's delays pass them down, and
+    the row of ``y`` at that step, x_t until then, becomes y_t = x_t + z_0.
+    A row starts from -0.0, which leaves the first term as it is, except
+    the rows of the first m steps, which start from lfilter's zero state.
+    After each tile of ``_TILE`` steps, the m rows still gathering move to
+    the front of ``acc``, so it holds ``_TILE`` + m rows whatever the length.
+    """
+    n, rows = y.shape
     m = phi.size
-    acc = np.zeros((n + m, rows))
-    acc[m:] = -0.0
+    if m == 0:
+        return y
+    acc = np.full((_TILE + m, rows), -0.0)
+    acc[:m] = 0.0
     buf = np.empty((m, rows))
     phi_col = phi[:, None]
     theta_col = None if theta is None else theta[:, None]
-    for t, xt in enumerate(x.T):
-        yt, window = acc[t], acc[t + 1 : t + 1 + m]
-        yt += xt
-        if theta_col is not None:
-            np.multiply(theta_col, xt, out=buf)
-            window += buf
-        np.multiply(phi_col, yt, out=buf)
-        window += buf
-    return np.ascontiguousarray(acc[:n].T).reshape(eps.shape)
+    with np.errstate(all="ignore"):  # as in lfilter, inf and NaN pass silently
+        for t0 in range(0, n, _TILE):
+            tile = y[t0 : t0 + _TILE]
+            for i, yt in enumerate(tile):
+                window = acc[i + 1 : i + 1 + m]
+                if theta_col is not None:
+                    np.multiply(theta_col, yt, out=buf)
+                    window += buf
+                yt += acc[i]
+                np.multiply(phi_col, yt, out=buf)
+                window += buf
+            steps = len(tile)
+            acc[:m] = acc[steps : steps + m]
+            acc[m:] = -0.0
+    return y
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import InvalidInputError, NumericDegeneracyError
 from .rng import RngStream
-from .series import _arma_filter, _normalized, as_series, autocovariances
+from .series import _filter_in_place, _normalized, as_series, autocovariances
 
 __all__ = [
     "SieveConfig",
@@ -171,8 +171,8 @@ def _ad_rows(x: np.ndarray) -> np.ndarray:
     q underflows to a subnormal or 0 (|z| past ~37.5, reachable only for n
     above ~1400), log q comes from ``log_ndtr``.  numpy's ``log`` runs SIMD
     code chosen by the CPU, so A can differ in its last bits between CPUs.
-    Rows are scored in chunks of about ``_AD_CHUNK`` elements, which does not
-    change a bit.
+    Rows are scored in chunks of about ``_AD_CHUNK`` elements, each copied
+    C-contiguous whatever the layout of ``x``, which does not change a bit.
     """
     rows, n = x.shape
     weights = 2.0 * np.arange(1, n + 1) - 1.0 - n
@@ -183,7 +183,8 @@ def _ad_rows(x: np.ndarray) -> np.ndarray:
 def _ad_chunk(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """:func:`_ad_rows` of a few rows, in three buffers the size of ``x``."""
     n = x.shape[1]
-    z = x - x.mean(axis=1, keepdims=True)
+    z = np.array(x, order="C")
+    z -= z.mean(axis=1, keepdims=True)
     q = np.square(z)
     g0 = q.mean(axis=1, keepdims=True)
     lp = np.empty_like(z)
@@ -210,13 +211,28 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
     """Sieve-bootstrap Anderson-Darling normality test.
 
     Replicate r draws its innovations from sub-stream r of the configured
-    seed; the replicates are drawn, filtered and scored in row blocks of
-    bounded size, each a batched draw that equals those sub-streams bit for
-    bit, so the result does not depend on how the work is split.  A
-    degenerate replicate is redrawn up to 10 times from the
-    continuation of its own sub-stream (redraw d takes its uniforms from
-    d * (100 + n) on), each round's redraws in one batch, and dropped from
-    the count thereafter.
+    seed.  The replicates are split evenly into row blocks of at most
+    ``rng._BLOCK_ELEMENTS`` uniforms (two blocks of 500 at n = 1000 and
+    1000 replicates), each a batched draw that equals those sub-streams bit
+    for bit, so the result does not depend on how the work is split.  A
+    block is one time-major (100 + n, rows) array, reused from block to
+    block: the uniforms are drawn and turned into innovations
+    ``rng._CHUNK_ELEMENTS`` at a time and copied in transposed, the AR recursion runs down it in
+    place (:func:`series._filter_in_place`), and :func:`_ad_rows` scores its
+    last n rows.  So a call holds that array (4.4 MB at n = 1000) and a few
+    chunk-sized buffers.
+
+    The in-place recursion skips two steps of :func:`series._arma_filter`:
+    its second run with the MA products x_t * 0, and at order 0 its
+    ``+ 0.0``.  Both change only the sign of an exact zero and the values
+    of rows that are not finite, and neither changes a score: a row with a
+    value that is not finite scores NaN either way, and the sign of a zero
+    reaches a score only as a zero term of a sum.
+
+    A degenerate replicate is redrawn up to 10 times from the continuation
+    of its own sub-stream (redraw d takes its uniforms from d * (100 + n)
+    on), each round's redraws in one batch, and dropped from the count
+    thereafter.
     """
     x, _ = _normalized(s)
     ad_obs = anderson_darling(x)
@@ -240,9 +256,11 @@ def vavra_test(s, cfg: SieveConfig) -> VavraResult:
 
     def scores(replicates, draw: int) -> np.ndarray:
         """Statistics of ``replicates`` from uniforms ``draw * total_len`` on."""
-        blocks = cfg.seed._uniform_blocks(replicates, total_len, start=draw * total_len)
+        blocks = cfg.seed._uniform_blocks(
+            replicates, total_len, start=draw * total_len, transform=innovations
+        )
         return np.concatenate(
-            [_ad_rows(_arma_filter(innovations(u), phi)[:, _BURN_IN:]) for _, u in blocks]
+            [_ad_rows(_filter_in_place(block, phi)[_BURN_IN:].T) for _, block in blocks]
         )
 
     stats = scores(range(cfg.replications), 0)

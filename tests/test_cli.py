@@ -300,6 +300,22 @@ def run_fresh(code, *args):
     assert r.returncode == 0, r.stderr
 
 
+def test_epps_grid_overflowing_with_the_data_is_3(tmp_path):
+    # the grid fits the data's scale, but its products with 1e6 + N(0, 1)
+    # overflow: exit 3 with one line, no traceback and no RuntimeWarning
+    p = tmp_path / "offset.csv"
+    x = 1e6 + simulate_arma(ArmaSpec(), 200, 0, RngStream(6001)).values
+    p.write_text("\n".join(map(repr, x.tolist())) + "\n")
+    path = [str(Path(norts.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = ["-m", "norts", "test", "--method", "epps", "--lambda", "1e303,1e305", str(p)]
+    r = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    assert r.returncode == 3
+    assert r.stdout == ""
+    assert r.stderr == ("norts: invalid input: frequency grid (1e+303, 1e+305) times the data's "
+                        "largest magnitude leaves the double range\n")
+
+
 def test_check_does_not_load_scipy_signal(gaussian_csv):
     # scipy.signal pulls in most of scipy, and norts needs none of it
     run_fresh(

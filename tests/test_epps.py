@@ -34,6 +34,7 @@ from norts.epps import (
     _epps_rows,
     _grid,
     _lockstep,
+    _moments,
     _prepare,
     _results,
     _search,
@@ -613,6 +614,51 @@ class TestGridAtExtremeScales:
         assert str(raised.value) == (
             f"frequency grid {Lambda(lam).points} at the data's scale {scale} leaves the double range"
         )
+
+
+class TestGridTimesData:
+    # 1e6 + N(0, 1): the grid fits the data's scale, but its largest
+    # frequency times the largest value overflows, so cos and sin would see
+    # inf and eigh a NaN covariance
+    LAM = Lambda((1e303, 1e305))
+    MESSAGE = ("frequency grid (1e+303, 1e+305) times the data's largest magnitude "
+               "leaves the double range")
+
+    def series(self, count):
+        return [simulate_arma(ArmaSpec(), 200, 0, RngStream(i, 14)).values for i in range(count)]
+
+    def test_rejected_without_a_warning(self):
+        x = 1e6 + self.series(1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as raised:
+                epps_test(x, self.LAM)
+        assert str(raised.value) == self.MESSAGE
+
+    def test_bad_row_does_not_fail_its_neighbours(self):
+        series = self.series(6)
+        series[2] = 1e6 + series[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _epps_rows(series, self.LAM)
+        assert isinstance(got[2], InvalidInputError) and str(got[2]) == self.MESSAGE
+        for i, (x, res) in enumerate(zip(series, got)):
+            if i != 2:
+                assert fields(res) == fields(epps_test(x, self.LAM)), i
+
+    def test_moments_give_a_non_finite_covariance_rank_0(self):
+        # past the checks, a row whose moment terms are NaN reaches the
+        # stacked eigh as zeros and leaves the other rows as they are
+        series = np.array(self.series(3))
+        series[1] = 1e6 + series[1]
+        x, scale = np.ldexp(series, -2), np.full(3, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rank, (ghat, weight, *_) = _moments(x, scale, self.LAM)
+        assert rank[1] == 0 and not weight[1].any()
+        for i in (0, 2):
+            one_rank, (one_ghat, one_weight, *_) = _moments(x[i], scale[i], self.LAM)
+            assert rank[i] == one_rank > 2
+            np.testing.assert_array_equal(weight[i], one_weight)
 
 
 class TestLockstep:

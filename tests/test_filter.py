@@ -111,3 +111,68 @@ def test_simulate_arma_is_the_lfilter_path():
     eps = series.sample(spec.innovation, RngStream(4), size=350)
     expected = lfilter_arma(eps, spec.ar, spec.ma)[50:]
     np.testing.assert_array_equal(x.values.view(np.uint64), expected.view(np.uint64))
+
+
+def in_place(eps, ar, ma=(), products=False):
+    """``series._filter_in_place`` on a time-major copy of the rows of 2-d
+    ``eps``, transposed back; ``products`` adds the MA products x_t * 0 of a
+    pure AR filter, as ``_arma_filter``'s second run does."""
+    m = max(len(ar), len(ma))
+    phi, theta = np.zeros(m), np.zeros(m)
+    phi[: len(ar)], theta[: len(ma)] = ar, ma
+    y = np.array(eps.T, order="C")
+    assert series._filter_in_place(y, phi, theta if ma or products else None) is y
+    return y.T
+
+
+def assert_in_place_is_lfilter(eps, ar, ma=(), products=False):
+    expected = lfilter_arma(eps, ar, ma)
+    got = in_place(eps, ar, ma, products)
+    assert np.array_equal(got, expected, equal_nan=True)
+    bits = (expected != 0) & ~np.isnan(expected)
+    np.testing.assert_array_equal(got.view(np.uint64)[bits], expected.view(np.uint64)[bits])
+
+
+# lengths shorter than a tile, one off a multiple of it and several tiles long
+TILE_LENGTHS = [1, series._TILE - 1, series._TILE, series._TILE + 1, 3 * series._TILE + 7]
+
+
+# with no AR terms but MA terms, lfilter and _arma_filter convolve instead
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(41) for q in (0, 1, 3) if p or not q])
+def test_in_place_equals_lfilter(p, q):
+    # orders past the tile length make the delays span two tiles
+    assert 40 > series._TILE
+    rng = np.random.default_rng(5000 + 10 * p + q)
+    ar, ma = coefficients(rng, p), tuple(rng.uniform(-1.5, 1.5, q))
+    for length in TILE_LENGTHS:
+        assert_in_place_is_lfilter(rng.standard_t(3, (7, length)), ar, ma)
+
+
+@pytest.mark.parametrize("ar", [(0.5,), (0.6, -0.3, 0.1), (0.0, 0.4), (0.3,) + (0.0,) * 39 + (0.2,)])
+def test_in_place_rows_with_inf_or_nan(ar):
+    # with the MA products, as in _arma_filter's second run, every row equals
+    # lfilter's; without them an inf input stays inf where lfilter has NaN,
+    # unless a zero AR coefficient makes the NaN itself
+    rng = np.random.default_rng(6)
+    eps = rng.standard_normal((6, 3 * series._TILE + 5))
+    eps[0, 3] = np.inf
+    eps[1, 70] = -np.inf
+    eps[2, 90] = np.nan
+    eps[3, [20, 21]] = [np.inf, -np.inf]
+    eps[4, -1] = np.inf
+    assert_in_place_is_lfilter(eps, ar, products=True)
+    assert_in_place_is_lfilter(eps[5:], ar)
+    if 0.0 not in ar:
+        with pytest.raises(AssertionError):
+            assert_in_place_is_lfilter(eps[:2], ar)
+
+
+def test_in_place_leaves_other_rows_alone():
+    # a view into a wider block is filtered in its own columns only
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((150, 9))
+    before = block.copy()
+    series._filter_in_place(block[:, :5], np.array([0.5, -0.2]))
+    np.testing.assert_array_equal(block[:, 5:], before[:, 5:])
+    expected = lfilter_arma(before[:, :5].T, (0.5, -0.2)).T
+    np.testing.assert_array_equal(block[:, :5], expected)

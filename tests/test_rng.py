@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
+import norts.rng as rng_module
 from norts import InvalidInputError, RngStream
 from norts.rng import _philox_keys
 
@@ -206,3 +207,46 @@ def test_consecutive_draws_split_one_draw(a, b):
     np.testing.assert_array_equal(s.uniform(b), whole[a:])
     row = RngStream(31, stream_id=2).uniform_rows([5], a + b, tail=(0,))[0]
     np.testing.assert_array_equal(row, whole)
+
+
+@pytest.mark.parametrize("start", [0, 1, 3, 4, 1102])
+@pytest.mark.parametrize("indices", [list(range(23)), [7, 2**32 - 1, 0, 5, 5, 19, 3], range(40, 3, -3)])
+def test_uniform_blocks_derive_keys_once_and_equal_uniform_rows(monkeypatch, indices, start):
+    s, size = RngStream(61, stream_id=4), 13
+    whole = s.uniform_rows(indices, size, start=start)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _philox_keys(*args)
+
+    monkeypatch.setattr(rng_module, "_philox_keys", counting)
+    # 5 rows per block at most: uneven row counts split into blocks of equal
+    # size or one row apart
+    monkeypatch.setattr(rng_module, "_BLOCK_ELEMENTS", 5 * size + 4)
+    blocks = list(s._uniform_blocks(indices, size, start=start))
+    assert len(calls) == 1
+    assert [i for rows, _ in blocks for i in rows] == list(indices)
+    sizes = [len(rows) for rows, _ in blocks]
+    assert sum(sizes) == len(indices) and max(sizes) <= 5 and max(sizes) - min(sizes) <= 1
+    assert len(blocks) == -(-len(indices) // 5)
+    np.testing.assert_array_equal(np.concatenate([u for _, u in blocks]), whole)
+
+    # time-major, transformed in chunks of a few rows: the same values
+    for chunk in (1, 2 * size, 3 * size + 1, 100 * size):
+        monkeypatch.setattr(rng_module, "_CHUNK_ELEMENTS", chunk)
+        calls.clear()
+        got = [(list(rows), block.copy()) for rows, block in
+               s._uniform_blocks(indices, size, start=start, transform=lambda u: -u)]
+        assert len(calls) == 1
+        assert [rows for rows, _ in got] == [list(rows) for rows, _ in blocks]
+        np.testing.assert_array_equal(np.concatenate([block.T for _, block in got]), -whole)
+
+
+def test_uniform_blocks_of_vavra_at_n_1000_split_evenly():
+    # 1000 replicates of 1100 uniforms: two blocks of 500 rows, not 953 + 47
+    s = RngStream(3)
+    sizes = [len(rows) for rows, _ in s._uniform_blocks(range(1000), 1100, transform=lambda u: u)]
+    assert sizes == [500, 500]
+    assert [len(rows) for rows, _ in s._uniform_blocks(range(1001), 1100)] == [500, 501]
+    assert list(s._uniform_blocks([], 1100)) == list(s._uniform_blocks([], 1100, transform=np.negative)) == []

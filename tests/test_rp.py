@@ -239,14 +239,25 @@ class TestRpTest:
 # the same results and the same error.
 
 
-def stick_breaking_loop(a, b, rng):
-    """One direction, one stick at a time, from 32-uniform chunks of ``rng``."""
-    law = InnovationLaw.beta(a, b)
+def stick_chunks(law, rng, size=4 * _STICK_CHUNK, growth=4):
+    """The draws of ``law`` from ``rng`` in chunks of 32, as rp breaks sticks
+    from them.  The uniforms are drawn and inverted ``size`` at a time,
+    ``growth`` times as many at each call after the first: the quantile
+    kernels take the same steps for every element, so the values do not
+    depend on how many are inverted at once, and each call pays the
+    kernel's fixed cost."""
+    while True:
+        yield from sample(law, rng, size=size).reshape(-1, _STICK_CHUNK)
+        size *= growth
+
+
+def stick_breaking_loop(a, b, chunks):
+    """One direction, one stick at a time, from the beta(a, b) chunks of the
+    iterator ``chunks``; the rest of its last chunk goes unused."""
     sticks = []
     total = 0.0
     remaining = 1.0
-    while True:
-        v = sample(law, rng, size=32)
+    for v in chunks:
         for vj in v:
             w = vj * remaining
             sticks.append(w)
@@ -265,8 +276,9 @@ def stick_breaking_loop(a, b, rng):
 def draw_loop(pars, rng, n, index, redraws=None):
     """A direction that leaves MIN_TEST_LENGTH of n points, in at most 100
     draws; appends the number of redraws to ``redraws`` if given."""
+    chunks = stick_chunks(InnovationLaw.beta(*pars), rng)
     for attempt in range(100):
-        h = stick_breaking_loop(pars[0], pars[1], rng)
+        h = stick_breaking_loop(pars[0], pars[1], chunks)
         if n - (len(h) - 1) >= MIN_TEST_LENGTH:
             if redraws is not None:
                 redraws.append(attempt)
@@ -373,8 +385,9 @@ class TestBatchedDirections:
     def test_stick_breaking_h_equals_loop(self, pars):
         for i in range(20):
             a, b = RngStream(91).substream(i), RngStream(91).substream(i)
+            chunks = stick_chunks(InnovationLaw.beta(*pars), b, size=_STICK_CHUNK, growth=1)
             assert outcome(lambda: stick_breaking_h(*pars, a).weights.view(np.uint64).tolist()) == outcome(
-                lambda: stick_breaking_loop(*pars, b).weights.view(np.uint64).tolist()
+                lambda: stick_breaking_loop(*pars, chunks).weights.view(np.uint64).tolist()
             )
             # both consume whole 32-uniform chunks of the stream
             assert a.uniform() == b.uniform()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,6 +358,31 @@ class TestVavraTest:
         assert result.replications_used == 1000
         assert redrawn == [10]
         assert calls == []
+
+    def test_memory_is_one_block_split_evenly(self, monkeypatch):
+        # n = 1000, B = 1000: two time-major blocks of 500 replicates, one
+        # reused array of 1100 x 500 doubles, plus buffers of a chunk each
+        s = simulate_arma(ArmaSpec(ar=(0.5, -0.2)), 1000, 100, RngStream(60))
+        cfg = SieveConfig(seed=RngStream(61), replications=1000)
+        real_ad_rows = vavra_module._ad_rows
+        scored = []
+
+        def recording(x):
+            scored.append(x.shape)
+            return real_ad_rows(x)
+
+        monkeypatch.setattr(vavra_module, "_ad_rows", recording)
+        vavra_test(s, cfg)
+        assert scored == [(1, 1000), (500, 1000), (500, 1000)]
+        block = 1100 * 500 * 8
+        chunk = max(vavra_module._AD_CHUNK, rng_module._CHUNK_ELEMENTS) * 8
+        tracemalloc.start()
+        try:
+            vavra_test(s, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block + 8 * chunk, peak / 2**20
 
     @pytest.mark.parametrize("bootstrap", ["normal", "residuals"])
     def test_second_redraw_continues_the_substream(self, monkeypatch, bootstrap):
